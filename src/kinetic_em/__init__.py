@@ -58,7 +58,6 @@ from .paths import (
     GridSpec,
     coarsen,
     increment_identity_report,
-    integrate_path,
     load_path,
     sample_path,
     save_path,
@@ -106,7 +105,6 @@ __all__ = [
     "gamma_shift",
     "increment_identity_report",
     "integrate",
-    "integrate_path",
     "kernel_density",
     "kernel_mass",
     "linear_friction",

@@ -304,7 +304,7 @@ def cmd_simulate(cfg: dict, threads: int):
     n, d, horizon = cfg["n"], cfg["d"], cfg["horizon"]
     grid = GridSpec(n=n, horizon=horizon, d=d)
     md = mollify(drift, n, cfg["theta"], d=d)
-    scheme = SchemeConfig(grid=grid, theta=cfg["theta"], quad_order=cfg["quad_order"],
+    scheme = SchemeConfig(grid=grid, quad_order=cfg["quad_order"],
                           initial=_initial_from_config(cfg))
     sample_at = cfg.get("sample_at")
     if sample_at is not None and (sample_at < n or sample_at % n):

@@ -225,8 +225,8 @@ class MollifiedDrift:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ConfigError(f"mollification resolution must be a positive integer, got {self.n}")
-        if not self.theta > 0:
-            raise ConfigError(f"taming exponent must be positive, got {self.theta}")
+        if not (self.theta > 0 and math.isfinite(self.theta)):
+            raise ConfigError(f"taming exponent must be positive and finite, got {self.theta}")
         if self.quad_points < 2:
             raise ConfigError("quadrature needs >= 2 nodes")
         object.__setattr__(self, "n", int(self.n))

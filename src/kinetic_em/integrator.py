@@ -29,6 +29,7 @@ import mpmath
 import numpy as np
 
 from . import _steppers
+from ._steppers._numpy import march, record_buffers
 from ._rng import ROLE_OU_RESIDUAL, normal_words, stream_key
 from .drifts import (
     CLOSED_FORM_KINDS,
@@ -59,20 +60,19 @@ Initial = PhaseState | tuple | Callable[[np.random.Generator], tuple]
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme parameters: grid level, taming exponent, sub-step quadrature, initial state.
+    """Scheme parameters: grid level, sub-step quadrature, initial state.
+
+    The taming exponent belongs to the mollified drift the scheme steps with.
 
     `initial` is a PhaseState (or (x, v) pair) for a deterministic start, or
     a callable rng -> (x, v) sampling the initial law; None means the origin.
     """
 
     grid: GridSpec
-    theta: float = 0.5
     quad_order: int = 8
     initial: Initial | None = None
 
     def __post_init__(self):
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ConfigError(f"taming exponent must be positive, got {self.theta}")
         if not (isinstance(self.quad_order, (int, np.integer)) and self.quad_order >= 1):
             raise ConfigError(f"quad_order must be a positive integer, got {self.quad_order}")
         object.__setattr__(self, "quad_order", int(self.quad_order))
@@ -122,10 +122,23 @@ class SubstepIntegrals:
     A: np.ndarray
 
 
-def _legendre_rule(h: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, h]; weights sum to h."""
+def _legendre_rule(h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, h] with the weights for B and for A.
+
+    The B weights sum to h; the A weights are the B weights times (h - node).
+    """
     y, w = np.polynomial.legendre.leggauss(order)
-    return (y + 1.0) * (0.5 * h), w * (0.5 * h)
+    nodes, weights = (y + 1.0) * (0.5 * h), w * (0.5 * h)
+    return nodes, weights, weights * (h - nodes)
+
+
+def _shifted_drift_integrals(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
+                             rule) -> tuple[np.ndarray, np.ndarray]:
+    """B and A for every state of x, v shaped (..., d), by a _legendre_rule."""
+    nodes, w_b, w_a = rule
+    shifted = x + nodes.reshape((-1,) + (1,) * v.ndim) * v
+    vals = mollify_evaluate_arrays(md, shifted, np.broadcast_to(v, shifted.shape).copy())
+    return np.tensordot(w_b, vals, axes=1), np.tensordot(w_a, vals, axes=1)
 
 
 def substep_integrals(md: MollifiedDrift, z, h: float, quad_order: int = 8) -> SubstepIntegrals:
@@ -140,14 +153,9 @@ def substep_integrals(md: MollifiedDrift, z, h: float, quad_order: int = 8) -> S
     if quad_order < 1:
         raise ConfigError(f"quad_order must be >= 1, got {quad_order}")
     zz = as_phase_state(z)
-    nodes, weights = _legendre_rule(h, quad_order)
-    vals = mollify_evaluate_arrays(
-        md, zz.x[None, :] + nodes[:, None] * zz.v[None, :],
-        np.broadcast_to(zz.v, (quad_order, zz.d)).copy(),
-    )
-    b = weights @ vals
-    a = (weights * (h - nodes)) @ vals
-    return SubstepIntegrals(B=b, A=a)
+    b, a = _shifted_drift_integrals(md, zz.x[None, :], zz.v[None, :],
+                                    _legendre_rule(h, quad_order))
+    return SubstepIntegrals(B=b[0], A=a[0])
 
 
 def closed_form_code(md: MollifiedDrift, d: int) -> tuple[int, np.ndarray] | None:
@@ -190,38 +198,21 @@ def step_block(
     need quadrature take the generic NumPy route with Gauss-Legendre in the
     shift variable.
     """
-    steps, m, d = dW.shape
-    if record_stride and steps % record_stride:
-        raise ConfigError(f"record stride {record_stride} must divide the step count {steps}")
-    x_rec = v_rec = None
-    if record_stride:
-        slots = steps // record_stride
-        x_rec = np.empty((slots, m, d))
-        v_rec = np.empty((slots, m, d))
-    code = closed_form_code(md, d)
+    x_rec, v_rec = record_buffers(dW, record_stride)
+    code = closed_form_code(md, dW.shape[2])
     if code is not None:
         kind, params = code
         _steppers.step_closed_form(
             dW, dI, x, v, h, kind, params, x_rec, v_rec, record_stride
         )
-        return (x_rec, v_rec) if record_stride else None
-    nodes, weights = _legendre_rule(h, quad_order)
-    w_a = weights * (h - nodes)
-    r = 0
-    vb = np.empty((quad_order, m, d))
-    for k in range(steps):
-        vb[:] = v[None, :, :]
-        vals = mollify_evaluate_arrays(md, x[None, :, :] + nodes[:, None, None] * v, vb)
-        b = np.tensordot(weights, vals, axes=1)
-        a = np.tensordot(w_a, vals, axes=1)
-        xn = ((x + h * v) + a) + dI[k]
-        vn = (v + b) + dW[k]
-        x[...] = xn
-        v[...] = vn
-        if record_stride and (k + 1) % record_stride == 0:
-            x_rec[r] = x
-            v_rec[r] = v
-            r += 1
+    else:
+        rule = _legendre_rule(h, quad_order)
+
+        def step(k):
+            b, a = _shifted_drift_integrals(md, x, v, rule)
+            return ((x + h * v) + a) + dI[k], (v + b) + dW[k]
+
+        march(step, dW.shape[0], x, v, x_rec, v_rec, record_stride)
     return (x_rec, v_rec) if record_stride else None
 
 
@@ -269,7 +260,7 @@ def integrate(
         provenance={
             "n": g.n, "horizon": g.horizon, "seed": path.seed,
             "stream_id": path.stream_id, "drift": md.base.drift_id,
-            "theta": config.theta, "quad_order": config.quad_order,
+            "theta": md.theta, "quad_order": config.quad_order,
             "mollification_n": md.n,
         },
     )
@@ -347,31 +338,17 @@ def exact_linear_block(
     normals `zeta` of shape (steps, M, d, 2).  Driven by the same path this
     is the coupled ground truth for strong-error runs.
     """
-    steps, m, d = dW.shape
     a, c1, cmat, lmat, _ = ou_step_coefficients(gamma, h)
-    x_rec = v_rec = None
-    if record_stride:
-        if steps % record_stride:
-            raise ConfigError(
-                f"record stride {record_stride} must divide the step count {steps}"
-            )
-        slots = steps // record_stride
-        x_rec = np.empty((slots, m, d))
-        v_rec = np.empty((slots, m, d))
-    r = 0
-    for k in range(steps):
+    x_rec, v_rec = record_buffers(dW, record_stride)
+
+    def step(k):
         nv = cmat[0, 0] * dW[k] + cmat[0, 1] * dI[k] \
             + lmat[0, 0] * zeta[k, :, :, 0]
         nx = cmat[1, 0] * dW[k] + cmat[1, 1] * dI[k] \
             + lmat[1, 0] * zeta[k, :, :, 0] + lmat[1, 1] * zeta[k, :, :, 1]
-        xn = (x + c1 * v) + nx
-        vn = a * v + nv
-        x[...] = xn
-        v[...] = vn
-        if record_stride and (k + 1) % record_stride == 0:
-            x_rec[r] = x
-            v_rec[r] = v
-            r += 1
+        return (x + c1 * v) + nx, a * v + nv
+
+    march(step, dW.shape[0], x, v, x_rec, v_rec, record_stride)
     return (x_rec, v_rec) if record_stride else None
 
 
@@ -423,7 +400,7 @@ def reference_solve(drift, theta: float, n_ref: int, path: AugmentedPath,
     """
     if path.grid.n != n_ref:
         raise ConfigError(f"reference path has n={path.grid.n}, expected n_ref={n_ref}")
-    config = SchemeConfig(grid=path.grid, theta=theta, quad_order=quad_order, initial=initial)
+    config = SchemeConfig(grid=path.grid, quad_order=quad_order, initial=initial)
     md = mollify(drift, n_ref, theta, d=path.grid.d)
     return integrate(config, md, path)
 

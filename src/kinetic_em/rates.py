@@ -34,7 +34,13 @@ from ._rng import (
 from .drifts import DriftSpec, mollify
 from .errors import ConfigError, ConfigWarning, DomainError, KineticEmError
 from .integrator import exact_linear_block, resolve_initial, step_block
-from .paths import GridSpec, coarsen_block, sample_increment_block
+from .paths import (
+    GridSpec,
+    coarsen_block,
+    prefix_integrals,
+    sample_increment_block,
+    stream_normals,
+)
 
 # Below this, a level's error estimate counts as an exact reproduction
 # rather than a converging quantity; no slope is fitted through it.
@@ -281,16 +287,11 @@ def probe_sup_norm(fset: TestFunctionSet, d: int = 1, probes: int = 4096,
 
 def _assert_coupling(dw_f, di_f, dw_c, di_c, factor: int, h_fine: float) -> None:
     """Verify coarse and fine prefix (W, I) agree at shared grid times."""
-    wf = np.cumsum(dw_f, axis=0)
-    wc = np.cumsum(dw_c, axis=0)
-    if not np.allclose(wf[factor - 1::factor], wc, rtol=1e-10, atol=1e-10):
+    wf, i_f = prefix_integrals(dw_f, di_f, h_fine)
+    wc, i_c = prefix_integrals(dw_c, di_c, h_fine * factor)
+    if not np.allclose(wf[::factor], wc, rtol=1e-10, atol=1e-10):
         raise KineticEmError("coupling violated: coarse W prefix drifts from fine")
-    wf_prev = np.concatenate([np.zeros_like(dw_f[:1]), wf[:-1]], axis=0)
-    wc_prev = np.concatenate([np.zeros_like(dw_c[:1]), wc[:-1]], axis=0)
-    h_coarse = h_fine * factor
-    i_f = np.cumsum(di_f + h_fine * wf_prev, axis=0)
-    i_c = np.cumsum(di_c + h_coarse * wc_prev, axis=0)
-    if not np.allclose(i_f[factor - 1::factor], i_c, rtol=1e-10, atol=1e-10):
+    if not np.allclose(i_f[::factor], i_c, rtol=1e-10, atol=1e-10):
         raise KineticEmError("coupling violated: coarse I prefix drifts from fine")
 
 
@@ -378,9 +379,9 @@ def strong_error(
         v = np.broadcast_to(v0, (mc, d)).copy()
         if reference == "exact":
             zeta = np.empty((k_ref, mc, d, 2))
-            for j, s in enumerate(range(lo, hi)):
-                words = normal_words(seed, stream_key(ROLE_OU_RESIDUAL, s), 2 * k_ref * d)
-                zeta[:, j] = words.reshape(k_ref, d, 2)
+            residuals = [stream_key(ROLE_OU_RESIDUAL, s) for s in range(lo, hi)]
+            for j, xi in stream_normals(seed, residuals, k_ref, d):
+                zeta[:, j] = xi
             rx, rv = exact_linear_block(gamma, grid_ref.h, dw, di, zeta, x, v,
                                         record_stride=stride)
         else:
@@ -862,19 +863,15 @@ def tv_proxy(
         half = max(radius_sds * sd, 1e-12)
         spans.append((center - half, center + half))
 
-    def estimate_at(nb: int) -> float:
+    def estimate_at(nb: int) -> tuple[float, np.ndarray]:
+        """Half the L1 distance of the bin frequencies, and their pooled mean."""
         ex = np.linspace(spans[0][0], spans[0][1], nb + 1)
         ev = np.linspace(spans[1][0], spans[1][1], nb + 1)
         p = _hist_freq(*finals[0], ex, ev)
         q = _hist_freq(*finals[1], ex, ev)
-        return float(0.5 * np.abs(p - q).sum())
+        return float(0.5 * np.abs(p - q).sum()), 0.5 * (p + q)
 
-    ex = np.linspace(spans[0][0], spans[0][1], bins + 1)
-    ev = np.linspace(spans[1][0], spans[1][1], bins + 1)
-    p = _hist_freq(*finals[0], ex, ev)
-    q = _hist_freq(*finals[1], ex, ev)
-    estimate = float(0.5 * np.abs(p - q).sum())
-    pooled = 0.5 * (p + q)
+    estimate, pooled = estimate_at(bins)
     # E|p_i - q_i| under equal laws: half-normal with the two-sample variance
     noise = 0.5 * math.sqrt(2.0 / math.pi) * np.sqrt(
         pooled * (1.0 - pooled) * (2.0 / samples)
@@ -882,7 +879,7 @@ def tv_proxy(
 
     return TvProxyReport(
         estimate=estimate,
-        diagnostic=estimate_at(2 * bins),
+        diagnostic=estimate_at(2 * bins)[0],
         noise_floor=float(noise),
         bins=bins,
         metadata={

@@ -157,6 +157,15 @@ def test_admissibility_bound_and_rejection():
         mollify(s, 16, -0.1)
 
 
+def test_mollify_rejects_zero_and_infinite_theta():
+    # unlabeled drifts have no admissibility bound to catch theta = inf
+    for theta in (0.0, math.inf):
+        with pytest.raises(ConfigError):
+            mollify(zero_drift(), 8, theta)
+        with pytest.raises(ConfigError):
+            mollify(linear_friction(), 8, theta)
+
+
 def test_tabulated_bilinear_is_exact_on_affine():
     xs = np.linspace(-2, 2, 9)
     vs = np.linspace(-1, 3, 7)

@@ -219,6 +219,45 @@ def test_step_block_matches_integrate():
         step_block(md, g.h, p.dW[:, None, :], p.dI[:, None, :], x, v, record_stride=3)
 
 
+def test_substep_integrals_match_one_step_block_step():
+    # one quadrature routine: a zero-noise step_block step is x + h v + A, v + B
+    md = mollify(oscillatory_singular(), 16, 0.3, d=2)
+    h = 1.0 / 16
+    x = np.array([[0.3, -1.1]])
+    v = np.array([[0.9, 0.2]])
+    out = substep_integrals(md, (x[0], v[0]), h)
+    zero = np.zeros((1, 1, 2))
+    xs, vs = x.copy(), v.copy()
+    step_block(md, h, zero, zero, xs, vs)
+    assert np.array_equal(xs[0], (x[0] + h * v[0]) + out.A)
+    assert np.array_equal(vs[0], v[0] + out.B)
+
+
+@pytest.mark.parametrize("stepper", ["closed_form", "quadrature", "exact_linear"])
+def test_record_stride_keeps_every_stride_th_state(stepper):
+    g = GridSpec(n=12, horizon=1.0, d=2)
+    dw, di = sample_increment_block(g, 3, range(3))
+    zeta = np.random.default_rng(8).standard_normal((g.num_steps, 3, 2, 2))
+    x0 = np.array([[0.1, -0.2], [0.5, 0.0], [-1.0, 0.3]])
+    v0 = np.array([[1.0, -0.5], [0.0, 0.2], [-0.7, 0.4]])
+
+    def run(stride):
+        x, v = x0.copy(), v0.copy()
+        if stepper == "exact_linear":
+            return exact_linear_block(1.0, g.h, dw, di, zeta, x, v, record_stride=stride)
+        drift = sign_velocity() if stepper == "closed_form" else oscillatory_singular()
+        md = mollify(drift, 12, 0.3, d=2)
+        return step_block(md, g.h, dw, di, x, v, record_stride=stride)
+
+    every_x, every_v = run(1)
+    for stride in (2, 3, 4, 12):
+        rx, rv = run(stride)
+        assert np.array_equal(rx, every_x[stride - 1::stride])
+        assert np.array_equal(rv, every_v[stride - 1::stride])
+    with pytest.raises(ConfigError):
+        run(5)
+
+
 def test_reference_solve_matches_integrate():
     g = GridSpec(n=64, horizon=1.0, d=1)
     p = sample_path(g, 2, 0)
@@ -260,10 +299,6 @@ def test_resolve_initial():
 
 def test_scheme_config_validation():
     g = GridSpec(n=8, horizon=1.0, d=1)
-    with pytest.raises(ConfigError):
-        SchemeConfig(grid=g, theta=0.0)
-    with pytest.raises(ConfigError):
-        SchemeConfig(grid=g, theta=math.inf)
     with pytest.raises(ConfigError):
         SchemeConfig(grid=g, quad_order=0)
 

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from kinetic_em.paths import (
     coarsen,
     coarsen_block,
     increment_identity_report,
-    integrate_path,
     load_path,
     prefix_integrals,
     sample_increment_block,
@@ -84,30 +84,42 @@ def test_integral_increment_against_riemann_oracle():
     assert abs(cov[0, 1] - h**2 / 2) < 4 * math.sqrt((h * h**3 / 3 + h**4 / 4) / m)
 
 
-def test_integrate_path_matches_cumsum_oracle():
-    p = sample_path(GridSpec(n=64, d=2), seed=5)
-    w, i = integrate_path(p)
+def test_prefix_integrals_matches_cumsum_oracle():
+    # steps on axis 0: a (steps, M, d) block gives every path's own (W, I)
+    g = GridSpec(n=64, d=2)
+    dw, di = sample_increment_block(g, seed=5, stream_ids=range(3))
+    w, i = prefix_integrals(dw, di, g.h)
+    assert w.shape == i.shape == (65, 3, 2)
     assert np.all(w[0] == 0.0) and np.all(i[0] == 0.0)
-    w_ref = np.vstack([np.zeros(2), np.cumsum(p.dW, axis=0)])
-    h = p.grid.h
-    i_ref = np.vstack([np.zeros(2), np.cumsum(p.dI + h * w_ref[:-1], axis=0)])
-    assert np.allclose(w, w_ref, atol=1e-12)
-    assert np.allclose(i, i_ref, atol=1e-12)
+    h = g.h
+    for j in range(3):
+        w_ref = np.vstack([np.zeros(2), np.cumsum(dw[:, j], axis=0)])
+        i_ref = np.vstack([np.zeros(2), np.cumsum(di[:, j] + h * w_ref[:-1], axis=0)])
+        assert np.allclose(w[:, j], w_ref, atol=1e-12)
+        assert np.allclose(i[:, j], i_ref, atol=1e-12)
 
 
-def test_prefix_integrals_agrees_with_integrate_path():
-    p = sample_path(GridSpec(n=32), seed=9)
-    w1, i1 = integrate_path(p)
-    w2, i2 = prefix_integrals(p.dW, p.dI, p.grid.h)
-    assert np.allclose(w1, w2, atol=1e-12) and np.allclose(i1, i2, atol=1e-12)
+def test_prefix_integrals_matches_exact_arithmetic():
+    # plain cumsum keeps the exact identity at 2^14 steps, no compensation
+    g = GridSpec(n=2**14)
+    p = sample_path(g, seed=17)
+    w, i = prefix_integrals(p.dW, p.dI, g.h)
+    h = Fraction(g.h)
+    w_ex = i_ex = Fraction(0)
+    w_err = i_err = 0.0
+    for dw, di, w_k, i_k in zip(p.dW[:, 0], p.dI[:, 0], w[1:, 0], i[1:, 0]):
+        w_ex, i_ex = w_ex + Fraction(dw), i_ex + h * w_ex + Fraction(di)
+        w_err = max(w_err, abs(float(Fraction(w_k) - w_ex)))
+        i_err = max(i_err, abs(float(Fraction(i_k) - i_ex)))
+    assert w_err <= 1e-12 and i_err <= 1e-12
 
 
 def test_coarsen_preserves_shared_time_integrals():
     p = sample_path(GridSpec(n=64, d=2), seed=11)
     c = coarsen(p, 8)
     assert c.grid.n == 8
-    wf, ifine = integrate_path(p)
-    wc, icoarse = integrate_path(c)
+    wf, ifine = prefix_integrals(p.dW, p.dI, p.grid.h)
+    wc, icoarse = prefix_integrals(c.dW, c.dI, c.grid.h)
     assert np.allclose(wf[::8], wc, atol=1e-12)
     assert np.allclose(ifine[::8], icoarse, atol=1e-12)
 
@@ -142,8 +154,8 @@ def test_coarsen_consistency_property(log_n, log_f, seed):
     factor = 2 ** min(log_f, log_n)
     p = sample_path(GridSpec(n=n), seed=seed)
     c = coarsen(p, factor)
-    wf, ifine = integrate_path(p)
-    wc, icoarse = integrate_path(c)
+    wf, ifine = prefix_integrals(p.dW, p.dI, p.grid.h)
+    wc, icoarse = prefix_integrals(c.dW, c.dI, c.grid.h)
     assert np.allclose(wf[::factor], wc, atol=1e-12)
     assert np.allclose(ifine[::factor], icoarse, atol=1e-12)
 
