@@ -38,7 +38,6 @@ from .integrator import (
     Trajectory,
     exact_linear_solve,
     integrate,
-    reference_solve,
     substep_integrals,
     trajectory_to_csv,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "mollify",
     "mollify_evaluate",
     "oscillatory_singular",
-    "reference_solve",
     "sample_path",
     "save_path",
     "save_tabulated",

@@ -282,19 +282,25 @@ class Check:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def _slope_checks(report, min_slope, max_slope_se, prefix="") -> list[Check]:
+def _slope_checks(report, min_slope, max_slope_se, max_slope=None, tag="") -> list[Check]:
+    """Bounds on a report's slope, named min_<tag>slope, max_<tag>slope, max_<tag>slope_se.
+
+    An exact report passes the slope bounds vacuously and skips the se bound.
+    """
     checks = []
-    if min_slope is not None:
+    for name, bound, op in ((f"min_{tag}slope", min_slope, ">="),
+                            (f"max_{tag}slope", max_slope, "<=")):
+        if bound is None:
+            continue
         if report.exact:
-            checks.append(Check(f"{prefix}min_slope", True,
+            checks.append(Check(name, True,
                                 "errors at exact-reproduction scale; slope check vacuous"))
         else:
-            checks.append(Check(
-                f"{prefix}min_slope", report.slope >= min_slope,
-                f"slope {report.slope:.4f} vs required >= {min_slope}"))
+            ok = report.slope >= bound if op == ">=" else report.slope <= bound
+            checks.append(Check(name, ok, f"slope {report.slope:.4f} vs required {op} {bound}"))
     if max_slope_se is not None and not report.exact:
         checks.append(Check(
-            f"{prefix}max_slope_se", report.slope_se < max_slope_se,
+            f"max_{tag}slope_se", report.slope_se < max_slope_se,
             f"slope_se {report.slope_se:.4f} vs required < {max_slope_se}"))
     return checks
 
@@ -389,16 +395,9 @@ def cmd_taming_demo(cfg: dict, threads: int):
     for n, g, s in zip(demo.uncorrected.levels, demo.gap_means, demo.gap_ses):
         buf.write(f"{n},{g!r},{s!r}\n")
     outputs["gaps.csv"] = buf.getvalue()
-    checks = []
-    if cfg["min_i_slope"] is not None:
-        checks.append(Check("min_i_slope", demo.uncorrected.slope >= cfg["min_i_slope"],
-                            f"I slope {demo.uncorrected.slope:.4f} vs >= {cfg['min_i_slope']}"))
-    if cfg["max_i_slope"] is not None:
-        checks.append(Check("max_i_slope", demo.uncorrected.slope <= cfg["max_i_slope"],
-                            f"I slope {demo.uncorrected.slope:.4f} vs <= {cfg['max_i_slope']}"))
-    if cfg["min_j_slope"] is not None:
-        checks.append(Check("min_j_slope", demo.shifted.slope >= cfg["min_j_slope"],
-                            f"J slope {demo.shifted.slope:.4f} vs >= {cfg['min_j_slope']}"))
+    checks = (_slope_checks(demo.uncorrected, cfg["min_i_slope"], None,
+                            cfg["max_i_slope"], tag="i_")
+              + _slope_checks(demo.shifted, cfg["min_j_slope"], None, tag="j_"))
     if cfg["check_gaps"]:
         ok = all(g >= -2.0 * s for g, s in zip(demo.gap_means, demo.gap_ses))
         worst = min(

@@ -241,6 +241,11 @@ class MollifiedDrift:
         return float(self.n) ** (-self.theta)
 
     @property
+    def erf_scale(self) -> float:
+        """n^theta / sqrt(2): the mollified sign drift is erf(erf_scale * v)."""
+        return float(self.n) ** self.theta / math.sqrt(2.0)
+
+    @property
     def closed_form(self) -> bool:
         return self.base.kind in CLOSED_FORM_KINDS
 
@@ -285,10 +290,10 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
 
     Both quadrature kinds have b_i depending on (x_i, v_i) only, so the
     2d-dimensional convolution factorizes into one 2-D quadrature per
-    component.
+    component.  The result is C-ordered whatever the layout of `v`.
     """
     ys, ws = _hermite_rule(points)
-    out = np.empty_like(v)
+    out = np.empty(v.shape)
     d = v.shape[-1]
     yx = ys[:, None] * md.sigma_x  # offsets in x
     yv = ys[None, :] * md.sigma_v  # offsets in v
@@ -296,11 +301,7 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
     for i in range(d):
         xi = x[..., i, None, None] - yx[None, ...]
         vi = v[..., i, None, None] - yv[None, ...]
-        if md.base.kind == "tabulated":
-            vals = md.base.table.interpolate(xi, vi)
-        else:
-            profile = np.minimum(np.abs(vi), 1.0) ** md.base.profile_beta
-            vals = np.sign(np.sin(md.base.kappa * xi)) * profile
+        vals = evaluate_arrays(md.base, xi[..., None], vi[..., None])[..., 0]
         out[..., i] = np.sum(vals * wgrid, axis=(-2, -1))
     return out
 
@@ -320,8 +321,7 @@ def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
         # The mollifier is centered, so the linear field is reproduced exactly.
         return -md.base.gamma * v
     if kind == "sign_velocity":
-        scale = float(md.n) ** md.theta / math.sqrt(2.0)
-        return erf(scale * v)
+        return erf(md.erf_scale * v)
     return _quadrature_eval(md, x, v, points or md.quad_points)
 
 

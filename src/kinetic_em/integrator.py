@@ -21,9 +21,8 @@ A = h^2/2 * b_n(v) exactly and the stepping backend skips the quadrature.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import TextIO
 
 import mpmath
 import numpy as np
@@ -34,11 +33,11 @@ from ._rng import ROLE_OU_RESIDUAL, normal_words, stream_key
 from .drifts import (
     CLOSED_FORM_KINDS,
     MollifiedDrift,
-    mollify,
+    evaluate_arrays,
     mollify_evaluate_arrays,
 )
 from .errors import ConfigError, DomainError
-from .kernel import PhaseState, as_phase_state
+from .kernel import KernelCovariance, PhaseState, as_phase_state
 from .paths import AugmentedPath, GridSpec
 
 __all__ = [
@@ -50,12 +49,11 @@ __all__ = [
     "step_block",
     "exact_linear_solve",
     "exact_linear_block",
-    "reference_solve",
     "trajectory_to_csv",
     "ou_step_coefficients",
 ]
 
-Initial = PhaseState | tuple | Callable[[np.random.Generator], tuple]
+Initial = PhaseState | tuple
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,7 @@ class SchemeConfig:
 
     The taming exponent belongs to the mollified drift the scheme steps with.
 
-    `initial` is a PhaseState (or (x, v) pair) for a deterministic start, or
-    a callable rng -> (x, v) sampling the initial law; None means the origin.
+    `initial` is a PhaseState or an (x, v) pair; None means the origin.
     """
 
     grid: GridSpec
@@ -137,7 +134,7 @@ def _shifted_drift_integrals(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
     """B and A for every state of x, v shaped (..., d), by a _legendre_rule."""
     nodes, w_b, w_a = rule
     shifted = x + nodes.reshape((-1,) + (1,) * v.ndim) * v
-    vals = mollify_evaluate_arrays(md, shifted, np.broadcast_to(v, shifted.shape).copy())
+    vals = mollify_evaluate_arrays(md, shifted, np.broadcast_to(v, shifted.shape))
     return np.tensordot(w_b, vals, axes=1), np.tensordot(w_a, vals, axes=1)
 
 
@@ -166,16 +163,10 @@ def closed_form_code(md: MollifiedDrift, d: int) -> tuple[int, np.ndarray] | Non
     if kind == "zero":
         return _steppers.KIND_ZERO, np.zeros(1)
     if kind == "constant":
-        c = np.asarray(md.base.constant, dtype=np.float64)
-        if c.size == 1:
-            c = np.full(d, c[0])
-        elif c.size != d:
-            raise DomainError(f"constant drift has length {c.size}, dimension is {d}")
-        return _steppers.KIND_CONSTANT, c
+        return _steppers.KIND_CONSTANT, evaluate_arrays(md.base, np.zeros(d), np.zeros(d))
     if kind == "linear_friction":
         return _steppers.KIND_LINEAR_FRICTION, np.array([md.base.gamma])
-    scale = float(md.n) ** md.theta / math.sqrt(2.0)
-    return _steppers.KIND_SIGN_VELOCITY, np.array([scale])
+    return _steppers.KIND_SIGN_VELOCITY, np.array([md.erf_scale])
 
 
 def step_block(
@@ -216,53 +207,48 @@ def step_block(
     return (x_rec, v_rec) if record_stride else None
 
 
-def resolve_initial(initial: Initial | None, d: int,
-                    rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+def resolve_initial(initial: Initial | None, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Materialize the initial (x0, v0) pair as length-d arrays."""
     if initial is None:
         return np.zeros(d), np.zeros(d)
-    if callable(initial):
-        if rng is None:
-            raise ConfigError("a sampled initial law needs an explicit generator")
-        initial = initial(rng)
     zz = as_phase_state(initial)
     if zz.d != d:
         raise ConfigError(f"initial state has dimension {zz.d}, grid has {d}")
     return zz.x.copy(), zz.v.copy()
 
 
-def integrate(
-    config: SchemeConfig,
-    md: MollifiedDrift,
-    path: AugmentedPath,
-    initial_rng: np.random.Generator | None = None,
-) -> Trajectory:
+def _run_path(path: AugmentedPath, initial: Initial | None, block, **provenance) -> Trajectory:
+    """One path through a block stepper, as a Trajectory with the start prepended.
+
+    `block(dW, dI, x, v)` marches a block of paths in place and returns the
+    state recorded after every step; here the block holds this one path.
+    """
+    g = path.grid
+    x0, v0 = resolve_initial(initial, g.d)
+    x = x0[None, :].copy()
+    v = v0[None, :].copy()
+    rx, rv = block(np.ascontiguousarray(path.dW[:, None, :]),
+                   np.ascontiguousarray(path.dI[:, None, :]), x, v)
+    return Trajectory(
+        times=g.times(),
+        x=np.vstack([x0[None, :], rx[:, 0, :]]),
+        v=np.vstack([v0[None, :], rv[:, 0, :]]),
+        provenance={"n": g.n, "horizon": g.horizon, "seed": path.seed,
+                    "stream_id": path.stream_id, **provenance},
+    )
+
+
+def integrate(config: SchemeConfig, md: MollifiedDrift, path: AugmentedPath) -> Trajectory:
     """Run the scheme over one augmented path; states at every grid point."""
     if config.grid != path.grid:
         raise ConfigError(
             f"scheme grid {config.grid} does not match path grid {path.grid}"
         )
-    g = config.grid
-    x0, v0 = resolve_initial(config.initial, g.d, initial_rng)
-    x = x0[None, :].copy()
-    v = v0[None, :].copy()
-    steps = g.num_steps
-    rec = step_block(
-        md, g.h,
-        np.ascontiguousarray(path.dW[:, None, :]),
-        np.ascontiguousarray(path.dI[:, None, :]),
-        x, v, quad_order=config.quad_order, record_stride=1,
-    )
-    xs = np.vstack([x0[None, :], rec[0][:, 0, :]])
-    vs = np.vstack([v0[None, :], rec[1][:, 0, :]])
-    return Trajectory(
-        times=g.times(), x=xs, v=vs,
-        provenance={
-            "n": g.n, "horizon": g.horizon, "seed": path.seed,
-            "stream_id": path.stream_id, "drift": md.base.drift_id,
-            "theta": md.theta, "quad_order": config.quad_order,
-            "mollification_n": md.n,
-        },
+    h, q = config.grid.h, config.quad_order
+    return _run_path(
+        path, config.initial,
+        lambda dw, di, x, v: step_block(md, h, dw, di, x, v, q, record_stride=1),
+        drift=md.base.drift_id, theta=md.theta, quad_order=q, mollification_n=md.n,
     )
 
 
@@ -286,9 +272,7 @@ def ou_step_coefficients(gamma: float, h: float):
     if not h > 0:
         raise DomainError(f"step size must be positive, got {h}")
     if gamma == 0.0:
-        return 1.0, h, np.eye(2), np.zeros((2, 2)), np.array(
-            [[h, h * h / 2.0], [h * h / 2.0, h**3 / 3.0]]
-        )
+        return 1.0, h, np.eye(2), np.zeros((2, 2)), KernelCovariance(h).matrix
     with mpmath.workdps(60):
         g = mpmath.mpf(gamma)
         hh = mpmath.mpf(h)
@@ -365,44 +349,18 @@ def exact_linear_solve(
     index), so the solution is a deterministic function of the path identity.
     """
     g = path.grid
-    x0, v0 = resolve_initial(initial, g.d)
     steps = g.num_steps
     if residual_index is None:
         residual_index = path.stream_id & ((1 << 40) - 1)
     zeta = normal_words(
         path.seed, stream_key(ROLE_OU_RESIDUAL, residual_index), 2 * steps * g.d
     ).reshape(steps, 1, g.d, 2)
-    x = x0[None, :].copy()
-    v = v0[None, :].copy()
-    rec = exact_linear_block(
-        gamma, g.h,
-        np.ascontiguousarray(path.dW[:, None, :]),
-        np.ascontiguousarray(path.dI[:, None, :]),
-        zeta, x, v, record_stride=1,
+    return _run_path(
+        path, initial,
+        lambda dw, di, x, v: exact_linear_block(gamma, g.h, dw, di, zeta, x, v,
+                                                record_stride=1),
+        drift=f"exact_linear(gamma={gamma!r})",
     )
-    xs = np.vstack([x0[None, :], rec[0][:, 0, :]])
-    vs = np.vstack([v0[None, :], rec[1][:, 0, :]])
-    return Trajectory(
-        times=g.times(), x=xs, v=vs,
-        provenance={
-            "n": g.n, "horizon": g.horizon, "seed": path.seed,
-            "stream_id": path.stream_id, "drift": f"exact_linear(gamma={gamma!r})",
-        },
-    )
-
-
-def reference_solve(drift, theta: float, n_ref: int, path: AugmentedPath,
-                    quad_order: int = 8, initial: Initial | None = None) -> Trajectory:
-    """The same scheme at resolution n_ref with matching mollification.
-
-    A surrogate for the exact solution when none is available in closed
-    form; documented as a reference, not ground truth.
-    """
-    if path.grid.n != n_ref:
-        raise ConfigError(f"reference path has n={path.grid.n}, expected n_ref={n_ref}")
-    config = SchemeConfig(grid=path.grid, quad_order=quad_order, initial=initial)
-    md = mollify(drift, n_ref, theta, d=path.grid.d)
-    return integrate(config, md, path)
 
 
 def trajectory_to_csv(traj: Trajectory, fh: TextIO) -> None:

@@ -27,6 +27,7 @@ __all__ = [
     "MixedExponent",
     "PhaseGrid1D",
     "gamma_shift",
+    "kernel_pair",
     "kernel_density",
     "semigroup_apply",
     "anisotropic_distance",
@@ -76,7 +77,10 @@ def as_phase_state(z) -> PhaseState:
     """Coerce a PhaseState or an (x, v) pair of scalars/vectors."""
     if isinstance(z, PhaseState):
         return z
-    x, v = z
+    try:
+        x, v = z
+    except (TypeError, ValueError):
+        raise DomainError(f"expected a PhaseState or an (x, v) pair, got {z!r}") from None
     return PhaseState(x, v)
 
 
@@ -125,11 +129,6 @@ def gamma_shift(t: float, z: PhaseState) -> PhaseState:
     """
     z = as_phase_state(z)
     return PhaseState(z.x + t * z.v, z.v)
-
-
-def shift_arrays(t, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of gamma_shift for internal vectorized use."""
-    return x + t * v, v
 
 
 def _check_time(t: float) -> float:
@@ -199,18 +198,23 @@ def covariance_form_error(t: float, z) -> float:
     return abs(expo - quad) / max(abs(quad), 1e-300)
 
 
-def _kernel_pair_factors(t: float) -> tuple[float, float, float]:
-    """Coefficients mapping iid normals (a, b) to (v, x) = (s1*a, s2*(a/2 + b/sqrt(12)))."""
-    return math.sqrt(t), t**1.5, 1.0 / math.sqrt(12.0)
+C12 = 1.0 / math.sqrt(12.0)
+
+
+def kernel_pair(t: float, a, b):
+    """Map iid unit normals (a, b) to (W_t, int_0^t W_s ds) ~ KernelCovariance(t).
+
+    The pair is (sqrt(t) a, t^(3/2) (a/2 + b/sqrt(12))), an exact Cholesky-type
+    factorization since (1/2)^2 + (1/sqrt(12))^2 = 1/3.
+    """
+    return math.sqrt(t) * a, t**1.5 * (0.5 * a + C12 * b)
 
 
 def sample_kernel_pairs(t: float, count: int, d: int, gen: np.random.Generator):
     """Draw `count` iid copies of (x, v) ~ G_t, shapes (count, d) each."""
     t = _check_time(t)
     xi = gen.standard_normal((count, d, 2))
-    s_v, s_x, c12 = _kernel_pair_factors(t)
-    v = s_v * xi[:, :, 0]
-    x = s_x * (0.5 * xi[:, :, 0] + c12 * xi[:, :, 1])
+    v, x = kernel_pair(t, xi[:, :, 0], xi[:, :, 1])
     return x, v
 
 
@@ -248,7 +252,7 @@ def semigroup_apply(
     t = _check_time(t)
     zz = as_phase_state(z)
     d = zz.d
-    xs, vs = shift_arrays(t, zz.x, zz.v)
+    zs = gamma_shift(t, zz)
     if method == "quadrature":
         if order < 1:
             raise ConfigError(f"quadrature order must be >= 1, got {order}")
@@ -258,19 +262,15 @@ def semigroup_apply(
         waxes = np.meshgrid(*([weights / math.sqrt(math.pi)] * (2 * d)), indexing="ij")
         xi = np.stack([a.ravel() for a in axes], axis=-1)  # (order**(2d), 2d)
         w = np.prod(np.stack([a.ravel() for a in waxes], axis=-1), axis=-1)
-        a = xi[:, :d]
-        b = xi[:, d:]
-        s_v, s_x, c12 = _kernel_pair_factors(t)
-        gv = s_v * a
-        gx = s_x * (0.5 * a + c12 * b)
-        vals = np.asarray(f(xs + gx, vs + gv), dtype=np.float64)
+        gv, gx = kernel_pair(t, xi[:, :d], xi[:, d:])
+        vals = np.asarray(f(zs.x + gx, zs.v + gv), dtype=np.float64)
         return float(vals @ w)
     if method == "monte_carlo":
         if samples < 2:
             raise ConfigError(f"monte_carlo needs >= 2 samples, got {samples}")
         gen = make_generator(seed, stream_key(ROLE_SEMIGROUP, 0))
         gx, gv = sample_kernel_pairs(t, samples, d, gen)
-        vals = np.asarray(f(xs + gx, vs + gv), dtype=np.float64)
+        vals = np.asarray(f(zs.x + gx, zs.v + gv), dtype=np.float64)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(samples))
         return est, se
@@ -369,10 +369,8 @@ def kernel_mass(t: float, d: int = 1, points: int | None = None, radius_sds: flo
         raise DomainError("kernel_mass supports d in {1, 2}")
     if points is None:
         points = 257 if d == 1 else 97
-    sx = math.sqrt(t**3 / 3.0)
-    sv = math.sqrt(t)
-    ax, awx = _trapezoid_axis(radius_sds * sx, points)
-    av, awv = _trapezoid_axis(radius_sds * sv, points)
+    grid = kernel_grid(t, points, radius_sds)
+    ax, awx, av, awv = grid.x, grid.wx, grid.v, grid.wv
     if d == 1:
         xx, vv = np.meshgrid(ax, av, indexing="ij")
         vals = kernel_density(t, x=xx[..., None], v=vv[..., None])

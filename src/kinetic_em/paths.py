@@ -4,11 +4,7 @@ A path at resolution n on [0, T] stores, per step of size h = 1/n and per
 dimension, the pair (dW, dI): the Brownian increment and the integral of
 (W_s - W_{step start}) over the step.  Per dimension the pair is centered
 Gaussian with covariance [[h, h^2/2], [h^2/2, h^3/3]], realized exactly from
-two unit normals as
-
-    dW = sqrt(h) * a,      dI = h^(3/2) * (a/2 + b/sqrt(12)),
-
-an exact Cholesky-type factorization since (1/2)^2 + (1/sqrt(12))^2 = 1/3.
+two unit normals (a, b) by the kernel pair map ``kernel.kernel_pair(h, a, b)``.
 Fine paths aggregate to coarse ones describing the same trajectory, which is
 what couples integrators across resolutions.
 """
@@ -24,7 +20,7 @@ import numpy as np
 
 from ._rng import ROLE_INCREMENT_CHECK, normal_words, stream_key
 from .errors import ConfigError, DomainError
-from .kernel import KernelCovariance
+from .kernel import KernelCovariance, kernel_pair
 
 __all__ = [
     "GridSpec",
@@ -37,8 +33,6 @@ __all__ = [
     "save_path",
     "load_path",
 ]
-
-_DI_B_COEFF = 1.0 / math.sqrt(12.0)
 
 
 @dataclass(frozen=True)
@@ -116,15 +110,6 @@ class AugmentedPath:
         object.__setattr__(self, "dI", _freeze(di))
 
 
-def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map unit normals with trailing axis (a, b) to (dW, dI)."""
-    a = xi[..., 0]
-    b = xi[..., 1]
-    dw = math.sqrt(h) * a
-    di = h**1.5 * (0.5 * a + _DI_B_COEFF * b)
-    return dw, di
-
-
 def sample_path(grid: GridSpec, seed: int = 0, stream_id: int = 0) -> AugmentedPath:
     """Sample an augmented path; identical (seed, stream_id) give identical output.
 
@@ -134,7 +119,7 @@ def sample_path(grid: GridSpec, seed: int = 0, stream_id: int = 0) -> AugmentedP
     """
     k, d = grid.num_steps, grid.d
     xi = normal_words(seed, stream_id, 2 * k * d).reshape(k, d, 2)
-    dw, di = _increments_from_normals(xi, grid.h)
+    dw, di = kernel_pair(grid.h, xi[..., 0], xi[..., 1])
     return AugmentedPath(grid=grid, dW=dw, dI=di, seed=seed, stream_id=stream_id)
 
 
@@ -162,7 +147,7 @@ def sample_increment_block(
     dw = np.empty((k, m, d))
     di = np.empty((k, m, d))
     for j, xi in stream_normals(seed, stream_ids, k, d):
-        dw[:, j, :], di[:, j, :] = _increments_from_normals(xi, grid.h)
+        dw[:, j, :], di[:, j, :] = kernel_pair(grid.h, xi[..., 0], xi[..., 1])
     return dw, di
 
 

@@ -34,6 +34,7 @@ from ._rng import (
 from .drifts import DriftSpec, mollify
 from .errors import ConfigError, ConfigWarning, DomainError, KineticEmError
 from .integrator import exact_linear_block, resolve_initial, step_block
+from .kernel import kernel_pair
 from .paths import (
     GridSpec,
     coarsen_block,
@@ -192,10 +193,20 @@ def fit_rate(levels, errors, errors_se=None) -> tuple[float, float]:
     return -slope, math.sqrt(max(var, 0.0))
 
 
-def _fit_or_nan(levels, errors, ses, exact: bool) -> tuple[float, float]:
-    if exact or len(levels) < 3:
-        return math.nan, math.nan
-    return fit_rate(levels, errors, ses)
+def _fitted_report(levels, errors, ses, metadata: dict) -> RateReport:
+    """RateReport over the levels, with the slope fitted unless no fit applies.
+
+    Errors all below EXACT_TOL mark an exact reproduction and fewer than three
+    levels leave too little to fit; both report a NaN slope.
+    """
+    errors = tuple(float(e) for e in errors)
+    ses = tuple(float(s) for s in ses)
+    exact = bool(np.max(errors) < EXACT_TOL)
+    slope, slope_se = math.nan, math.nan
+    if not exact and len(levels) >= 3:
+        slope, slope_se = fit_rate(levels, errors, ses)
+    return RateReport(levels=levels, errors=errors, errors_se=ses, slope=slope,
+                      slope_se=slope_se, exact=exact, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -414,30 +425,20 @@ def strong_error(
         idx = gen.integers(0, samples, size=(bootstrap, samples))
         resampled = _lm_norm(e[idx], m, axis=1)
         ses.append(float(resampled.std(ddof=1)))
-    exact = max(estimates) < EXACT_TOL
-    slope, slope_se = _fit_or_nan(levels, estimates, ses, exact)
-    return RateReport(
-        levels=levels,
-        errors=tuple(estimates),
-        errors_se=tuple(ses),
-        slope=slope,
-        slope_se=slope_se,
-        exact=exact,
-        metadata={
-            "experiment": "strong_error",
-            "drift": drift.drift_id,
-            "theta": theta,
-            "m": m,
-            "samples": samples,
-            "seed": seed,
-            "n_ref": n_ref,
-            "reference": reference,
-            "d": d,
-            "horizon": horizon,
-            "initial": [list(map(float, x0)), list(map(float, v0))],
-            "bootstrap": bootstrap,
-        },
-    )
+    return _fitted_report(levels, estimates, ses, {
+        "experiment": "strong_error",
+        "drift": drift.drift_id,
+        "theta": theta,
+        "m": m,
+        "samples": samples,
+        "seed": seed,
+        "n_ref": n_ref,
+        "reference": reference,
+        "d": d,
+        "horizon": horizon,
+        "initial": [list(map(float, x0)), list(map(float, v0))],
+        "bootstrap": bootstrap,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +544,7 @@ def weak_error(
     x0, v0 = resolve_initial(initial, d)
     n_t, n_f = len(t_eval), len(fset)
 
-    def run(md, grid, role, tag, count, out):
-        ks = _time_steps(grid, t_eval)
+    def run(md, grid, ks, role, tag, count, out):
         stride = math.gcd(*ks)
 
         def worker(lo: int, hi: int) -> None:
@@ -564,7 +564,7 @@ def weak_error(
         _run_chunks(_chunk_ranges(count, chunk), threads, worker)
 
     vals_ref = np.empty((ref_samples, n_t, n_f))
-    run(md_ref, grid_ref, ROLE_WEAK_REF, 0, ref_samples, vals_ref)
+    run(md_ref, grid_ref, ks_ref, ROLE_WEAK_REF, 0, ref_samples, vals_ref)
     mu_ref, se_ref = _mean_and_se(vals_ref)
     del vals_ref
 
@@ -573,7 +573,7 @@ def weak_error(
     observations = []
     for li, (n, grid, md) in enumerate(zip(levels, grids, md_levels)):
         vals = np.empty((samples, n_t, n_f))
-        run(md, grid, ROLE_WEAK_LEVEL, li, samples, vals)
+        run(md, grid, ks_lvl[li], ROLE_WEAK_LEVEL, li, samples, vals)
         mu, se = _mean_and_se(vals)
         del vals
         errs[:, li, :] = np.abs(mu_ref - mu)
@@ -605,20 +605,8 @@ def weak_error(
         "initial": [list(map(float, x0)), list(map(float, v0))],
         "test_functions": list(fset.names),
     }
-    reports = []
-    for ti, t in enumerate(t_eval):
-        level_errs = agg[ti]
-        exact = float(level_errs.max()) < EXACT_TOL
-        slope, slope_se = _fit_or_nan(levels, level_errs, agg_se[ti], exact)
-        reports.append(RateReport(
-            levels=levels,
-            errors=tuple(float(e) for e in level_errs),
-            errors_se=tuple(float(s) for s in agg_se[ti]),
-            slope=slope,
-            slope_se=slope_se,
-            exact=exact,
-            metadata=dict(base_meta, t=t),
-        ))
+    reports = [_fitted_report(levels, agg[ti], agg_se[ti], dict(base_meta, t=t))
+               for ti, t in enumerate(t_eval)]
 
     knots = np.concatenate([[0.0], np.asarray(t_eval)])
     proxy = []
@@ -703,7 +691,6 @@ def taming_demo(
     if not kept:
         raise ConfigError(f"every level has {t_final} on its grid; nothing to compare")
 
-    coeff_b = 1.0 / math.sqrt(12.0)
     est_i, se_i, est_j, se_j = [], [], [], []
     gap_means, gap_ses = [], []
     s_times, deltas = [], []
@@ -713,22 +700,17 @@ def taming_demo(
         delta = t_final - s
         words = normal_words(seed, stream_key(ROLE_DEMO, 0, level=li),
                              4 * samples * d).reshape(samples, d, 4)
-        za, zb, zc, zd = (words[..., j] for j in range(4))
-        w_s = math.sqrt(s) * za
-        i_s = s**1.5 * (0.5 * za + coeff_b * zb)
-        di_tail = delta**1.5 * (0.5 * zc + coeff_b * zd)
+        w_s, i_s = kernel_pair(s, words[..., 0], words[..., 1])
+        di_tail = kernel_pair(delta, words[..., 2], words[..., 3])[1]
         i_t = i_s + delta * w_s + di_tail
         f_t = np.asarray(f(i_t), dtype=np.float64)
         ivals = np.abs(f_t - f(i_s))
         jvals = np.abs(f_t - f(i_s + delta * w_s))
-        gaps = ivals - jvals
-        rt = math.sqrt(samples)
-        est_i.append(float(ivals.mean()))
-        se_i.append(float(ivals.std(ddof=1)) / rt)
-        est_j.append(float(jvals.mean()))
-        se_j.append(float(jvals.std(ddof=1)) / rt)
-        gap_means.append(float(gaps.mean()))
-        gap_ses.append(float(gaps.std(ddof=1)) / rt)
+        for means, ses, vals in ((est_i, se_i, ivals), (est_j, se_j, jvals),
+                                 (gap_means, gap_ses, ivals - jvals)):
+            mu, se = _mean_and_se(vals)
+            means.append(float(mu))
+            ses.append(float(se))
         s_times.append(s)
         deltas.append(delta)
 
@@ -744,21 +726,10 @@ def taming_demo(
         "deltas": deltas,
         "dropped_levels": dropped,
     }
-    exact_i = max(est_i) < EXACT_TOL
-    slope_i, slope_i_se = _fit_or_nan(kept_levels, est_i, se_i, exact_i)
-    exact_j = max(est_j) < EXACT_TOL
-    slope_j, slope_j_se = _fit_or_nan(kept_levels, est_j, se_j, exact_j)
     return TamingDemoReport(
-        uncorrected=RateReport(
-            levels=kept_levels, errors=tuple(est_i), errors_se=tuple(se_i),
-            slope=slope_i, slope_se=slope_i_se, exact=exact_i,
-            metadata=dict(meta, comparison="uncorrected"),
-        ),
-        shifted=RateReport(
-            levels=kept_levels, errors=tuple(est_j), errors_se=tuple(se_j),
-            slope=slope_j, slope_se=slope_j_se, exact=exact_j,
-            metadata=dict(meta, comparison="shifted"),
-        ),
+        uncorrected=_fitted_report(kept_levels, est_i, se_i,
+                                   dict(meta, comparison="uncorrected")),
+        shifted=_fitted_report(kept_levels, est_j, se_j, dict(meta, comparison="shifted")),
         gap_means=tuple(gap_means),
         gap_ses=tuple(gap_ses),
         horizon=t_final,

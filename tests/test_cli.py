@@ -173,6 +173,8 @@ def test_taming_demo_shift_improves_rate(tmp_path):
     run = _run_dir(out, "taming-demo")
     manifest = _manifest(run)
     assert manifest["passed"] is True
+    assert [c["name"] for c in manifest["checks"]] == [
+        "min_i_slope", "max_i_slope", "min_j_slope", "shift_no_worse"]
     assert manifest["summary"]["shifted"]["slope"] > manifest["summary"]["uncorrected"]["slope"]
     for name in ("uncorrected.csv", "shifted.csv", "gaps.csv"):
         assert os.path.exists(os.path.join(run, name))

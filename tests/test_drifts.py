@@ -116,6 +116,20 @@ def test_tabulated_affine_quadrature_route_matches_closed_form():
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
+def test_quadrature_route_ignores_velocity_layout():
+    # a zero-stride velocity view, as the shifted sub-step quadrature passes
+    # it, must give a C-ordered result that sums bit for bit like a copy
+    md = mollify(oscillatory_singular(), 16, 0.02)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(8, 100, 1))
+    v = np.broadcast_to(rng.normal(size=(100, 1)), x.shape)
+    w = rng.uniform(size=8)
+    viewed = mollify_evaluate_arrays(md, x, v)
+    copied = mollify_evaluate_arrays(md, x, v.copy())
+    assert viewed.flags.c_contiguous
+    assert np.array_equal(np.tensordot(w, viewed, axes=1), np.tensordot(w, copied, axes=1))
+
+
 def test_quadrature_error_diagnostic():
     md = mollify(sign_velocity(), 16, 0.5)
     assert mollify_quadrature_error(md, ([0.0], [0.1])) == 0.0

@@ -24,7 +24,6 @@ from kinetic_em.integrator import (
     exact_linear_solve,
     integrate,
     ou_step_coefficients,
-    reference_solve,
     resolve_initial,
     step_block,
     substep_integrals,
@@ -258,17 +257,6 @@ def test_record_stride_keeps_every_stride_th_state(stepper):
         run(5)
 
 
-def test_reference_solve_matches_integrate():
-    g = GridSpec(n=64, horizon=1.0, d=1)
-    p = sample_path(g, 2, 0)
-    ref = reference_solve(sign_velocity(), 0.5, 64, p)
-    md = mollify(sign_velocity(), 64, 0.5)
-    direct = integrate(SchemeConfig(grid=g), md, p)
-    assert np.array_equal(ref.x, direct.x) and np.array_equal(ref.v, direct.v)
-    with pytest.raises(ConfigError):
-        reference_solve(sign_velocity(), 0.5, 128, p)
-
-
 def test_trajectory_csv_roundtrip():
     g = GridSpec(n=8, horizon=1.0, d=2)
     p = sample_path(g, 1, 1)
@@ -290,11 +278,10 @@ def test_resolve_initial():
     assert x[0] == 1.0 and v[0] == 2.0
     with pytest.raises(ConfigError):
         resolve_initial(([1.0], [2.0]), 2)
-    law = lambda rng: (rng.normal(size=1), rng.normal(size=1))
-    with pytest.raises(ConfigError):
-        resolve_initial(law, 1)
-    x, v = resolve_initial(law, 1, np.random.default_rng(0))
-    assert x.shape == (1,) and v.shape == (1,)
+    with pytest.raises(DomainError, match="5"):
+        resolve_initial(5, 1)
+    with pytest.raises(DomainError, match=r"\(1\.0, 2\.0, 3\.0\)"):
+        resolve_initial((1.0, 2.0, 3.0), 1)
 
 
 def test_scheme_config_validation():
