@@ -17,9 +17,21 @@ around 1/2 and bounded away from 0 and 1 (ndtri would return +-inf there).
 One word per normal means the word for step ``k``, dimension ``i``,
 component ``j`` of a sampled path sits at the fixed counter address
 ``2*(k*d + i) + j``.
+
+`normal_words` draws through one Philox bit generator per thread and re-keys
+it for every stream by assigning its whole state: key ``[seed, stream_id]``,
+counter zero and an empty output buffer.  That is exactly the state of a new
+``Philox(key=...)``, without the per-construction ``SeedSequence`` seeded
+from OS entropy.  The cell index is read straight off the raw word: a
+Generator double is ``(w >> 11) * 2**-53``, so ``floor(u * 2**52)`` is
+``w >> 12`` and no double rounding sits between the word and the normal.
+`make_generator` stays for the callers that need a full ``Generator``
+(bootstrap resampling, the kernel semigroup check).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -69,9 +81,27 @@ def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_local = threading.local()
+
+
 def normal_words(seed: int, stream_id: int, count: int) -> np.ndarray:
     """Draw `count` standard normals, one 64-bit Philox word per value."""
-    gen = make_generator(seed, stream_id)
-    u = gen.random(count)
+    bitgen = getattr(_local, "philox", None)
+    if bitgen is None:
+        bitgen = _local.philox = np.random.Philox(0)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, stream_id], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    words = bitgen.random_raw(count)
+    words >>= 12
     # Cell midpoints (k + 1/2) / 2**52 are exact in binary64 and symmetric.
-    return ndtri((np.floor(u * 2.0**52) + 0.5) * 2.0**-52)
+    out = words.astype(np.float64)
+    out += 0.5
+    out *= 2.0**-52
+    return ndtri(out, out=out)

@@ -41,7 +41,10 @@ __all__ = [
 
 
 def _as_component(a, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    try:
+        arr = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numeric, got {a!r}") from None
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a scalar or 1-D vector, got shape {arr.shape}")
     if arr.size < 1:

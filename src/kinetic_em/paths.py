@@ -123,31 +123,61 @@ def sample_path(grid: GridSpec, seed: int = 0, stream_id: int = 0) -> AugmentedP
     return AugmentedPath(grid=grid, dW=dw, dI=di, seed=seed, stream_id=stream_id)
 
 
-def stream_normals(seed: int, stream_ids, steps: int, d: int):
-    """Yield (j, xi) per stream: its unit normals shaped (steps, d, 2).
+# Words per tile of the block sampler: each tile holds whole streams, so a
+# tile is at most this many words or a single stream.  About 256 KB of
+# normals, small enough that one stream's row and the transposed write stay
+# in cache, large enough that the per-tile overhead is amortised.
+_TILE_WORDS = 1 << 15
 
-    The per-stream draw behind every block: stream j of `stream_ids` gets the
-    same 2 * steps * d words, at the same counter addresses, as sample_path.
+
+def _normal_tiles(seed: int, stream_ids, steps: int, d: int):
+    """Yield (lo, hi, xi): unit normals of streams lo..hi-1 shaped (steps, hi - lo, d, 2).
+
+    Stream j draws its own 2 * steps * d words, at the same counter addresses
+    as sample_path, with one normal_words call; `xi` is a transposed view of
+    the tile's stream-major rows, valid until the next tile is drawn.
     """
-    for j, sid in enumerate(stream_ids):
-        yield j, normal_words(seed, int(sid), 2 * steps * d).reshape(steps, d, 2)
+    words = 2 * steps * d
+    m = len(stream_ids)
+    rows = max(1, _TILE_WORDS // max(words, 1))
+    tile = np.empty((min(rows, m), words))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        for r in range(hi - lo):
+            tile[r] = normal_words(seed, int(stream_ids[lo + r]), words)
+        yield lo, hi, tile[: hi - lo].reshape(hi - lo, steps, d, 2).transpose(1, 0, 2, 3)
+
+
+def stream_normals(seed: int, stream_ids, steps: int, d: int) -> np.ndarray:
+    """Unit normals of many streams, C-ordered with shape (steps, len(stream_ids), d, 2).
+
+    Column j holds stream j's normals exactly as sample_path draws them.  The
+    block is filled tile by tile, one transposed copy per tile, and is a pure
+    function of (seed, stream_ids, steps, d) whatever the caller's threading.
+    """
+    out = np.empty((steps, len(stream_ids), d, 2))
+    for lo, hi, xi in _normal_tiles(seed, stream_ids, steps, d):
+        out[:, lo:hi] = xi
+    return out
 
 
 def sample_increment_block(
     grid: GridSpec, seed: int, stream_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample increments for many streams at once, shapes (steps, len(streams), d).
+    """Sample increments for many streams at once, C-ordered shapes (steps, len(streams), d).
 
-    Each stream is generated exactly as in sample_path; the block layout just
-    suits vectorized stepping.  Output is a pure function of (grid, seed,
-    stream_ids) regardless of caller threading.
+    Column j is bit for bit the (dW, dI) of sample_path(grid, seed,
+    stream_ids[j]); the block layout just suits vectorized stepping.  The
+    streams are drawn tile by tile (see stream_normals) with one kernel pair
+    map per tile, so the output is a pure function of (grid, seed,
+    stream_ids) whatever the caller's threading.
     """
     k, d = grid.num_steps, grid.d
     m = len(stream_ids)
     dw = np.empty((k, m, d))
     di = np.empty((k, m, d))
-    for j, xi in stream_normals(seed, stream_ids, k, d):
-        dw[:, j, :], di[:, j, :] = kernel_pair(grid.h, xi[..., 0], xi[..., 1])
+    for lo, hi, xi in _normal_tiles(seed, stream_ids, k, d):
+        dw[:, lo:hi], di[:, lo:hi] = kernel_pair(grid.h, xi[..., 0], xi[..., 1])
     return dw, di
 
 

@@ -49,6 +49,9 @@ EXACT_TOL = 1e-11
 
 _LOG2E_LN = math.log(2.0)
 
+# Bootstrap indices drawn per batch in strong_error (8 MB of int64).
+_BOOTSTRAP_INDICES = 1 << 20
+
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker thread count; None falls back to KINETIC_EM_THREADS, then 1."""
@@ -389,10 +392,8 @@ def strong_error(
         x = np.broadcast_to(x0, (mc, d)).copy()
         v = np.broadcast_to(v0, (mc, d)).copy()
         if reference == "exact":
-            zeta = np.empty((k_ref, mc, d, 2))
             residuals = [stream_key(ROLE_OU_RESIDUAL, s) for s in range(lo, hi)]
-            for j, xi in stream_normals(seed, residuals, k_ref, d):
-                zeta[:, j] = xi
+            zeta = stream_normals(seed, residuals, k_ref, d)
             rx, rv = exact_linear_block(gamma, grid_ref.h, dw, di, zeta, x, v,
                                         record_stride=stride)
         else:
@@ -421,9 +422,16 @@ def strong_error(
     for li in range(len(levels)):
         e = errs[:, li]
         estimates.append(float(_lm_norm(e, m)))
+        # Resample in row batches drawn one after another from the one
+        # stream: the indices equal a single (bootstrap, samples) draw, but
+        # memory stays bounded as `samples` grows.
         gen = make_generator(seed, stream_key(ROLE_BOOTSTRAP, li))
-        idx = gen.integers(0, samples, size=(bootstrap, samples))
-        resampled = _lm_norm(e[idx], m, axis=1)
+        rows = max(1, _BOOTSTRAP_INDICES // samples)
+        resampled = np.concatenate([
+            _lm_norm(e[gen.integers(0, samples, size=(min(rows, bootstrap - r), samples))],
+                     m, axis=1)
+            for r in range(0, bootstrap, rows)
+        ])
         ses.append(float(resampled.std(ddof=1)))
     return _fitted_report(levels, estimates, ses, {
         "experiment": "strong_error",

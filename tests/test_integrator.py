@@ -282,6 +282,10 @@ def test_resolve_initial():
         resolve_initial(5, 1)
     with pytest.raises(DomainError, match=r"\(1\.0, 2\.0, 3\.0\)"):
         resolve_initial((1.0, 2.0, 3.0), 1)
+    with pytest.raises(DomainError, match="x must be numeric"):
+        resolve_initial(("a", "b"), 1)
+    with pytest.raises(DomainError, match="v must be numeric"):
+        resolve_initial((0.0, object()), 1)
 
 
 def test_scheme_config_validation():

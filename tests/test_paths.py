@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinetic_em import paths
+from kinetic_em._rng import ROLE_STRONG, stream_key
 from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.paths import (
     AugmentedPath,
@@ -19,6 +22,7 @@ from kinetic_em.paths import (
     sample_increment_block,
     sample_path,
     save_path,
+    stream_normals,
 )
 
 
@@ -172,12 +176,45 @@ def test_coarsen_block_matches_path_coarsen():
 
 
 def test_sample_increment_block_layout_matches_sample_path():
-    g = GridSpec(n=8, d=3)
-    dw, di = sample_increment_block(g, seed=21, stream_ids=[5, 9])
-    for col, sid in enumerate((5, 9)):
+    g = GridSpec(n=256, d=3)
+    per_tile = paths._TILE_WORDS // (2 * g.num_steps * g.d)
+    ids = [5 + 4 * j for j in range(2 * per_tile + 3)]  # three tiles, the last partial
+    dw, di = sample_increment_block(g, seed=21, stream_ids=ids)
+    assert dw.shape == di.shape == (g.num_steps, len(ids), g.d)
+    assert dw.flags.c_contiguous and di.flags.c_contiguous
+    for col, sid in enumerate(ids):
         p = sample_path(g, seed=21, stream_id=sid)
         assert np.array_equal(dw[:, col], p.dW)
         assert np.array_equal(di[:, col], p.dI)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# Digests computed with a per-stream sampler (one fresh generator and one
+# column write per stream); the tiled block sampler must reproduce them bit
+# for bit, whatever the tile size.
+_GOLDEN = {
+    "dW": "cd8d4228cf657b57e162b7e138cb56cba57add78bc96ff23ee9b717a2ee44c6c",
+    "dI": "864e9cc292034a5011fe5f7bf872cbe79e95ea06ef5620db738731f32867c513",
+    "xi": "b933d4081d258c22a0bdb138b2b048f4b15e5038138fc6d89b707eea1d4ae63b",
+}
+
+
+@pytest.mark.parametrize("tile_words", [None, 1024])
+def test_block_sampler_golden_digests(monkeypatch, tile_words):
+    if tile_words is not None:
+        # 4 streams of 256 words per tile: 37 streams end in a partial tile.
+        monkeypatch.setattr(paths, "_TILE_WORDS", tile_words)
+    g = GridSpec(n=64, d=2)
+    ids = [stream_key(ROLE_STRONG, i) for i in range(37)]
+    dw, di = sample_increment_block(g, 20260814, ids)
+    xi = stream_normals(20260814, ids, g.num_steps, g.d)
+    assert xi.shape == (g.num_steps, len(ids), g.d, 2) and xi.flags.c_contiguous
+    assert _sha256(dw) == _GOLDEN["dW"]
+    assert _sha256(di) == _GOLDEN["dI"]
+    assert _sha256(xi) == _GOLDEN["xi"]
 
 
 def test_increment_identity_renewal():

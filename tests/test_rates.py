@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kinetic_em import rates
 from kinetic_em.drifts import linear_friction, sign_velocity, zero_drift
 from kinetic_em.errors import ConfigError, ConfigWarning, DomainError
 from kinetic_em.rates import (
@@ -124,6 +125,16 @@ def test_strong_error_thread_and_chunk_invariance():
     assert a.errors == b.errors
     assert a.errors_se == b.errors_se
     assert a.slope == b.slope
+
+
+def test_strong_error_bootstrap_batches_match_one_draw(monkeypatch):
+    kwargs = dict(samples=101, seed=5, bootstrap=20)
+    whole = strong_error(sign_velocity(), 0.5, (4, 8), 16, **kwargs)
+    # 3 resample rows per batch: six full batches and a partial one
+    monkeypatch.setattr(rates, "_BOOTSTRAP_INDICES", 3 * kwargs["samples"])
+    batched = strong_error(sign_velocity(), 0.5, (4, 8), 16, **kwargs)
+    assert batched.errors == whole.errors
+    assert batched.errors_se == whole.errors_se
 
 
 def test_strong_error_linear_friction_exact_reference():
