@@ -11,6 +11,7 @@ quadrature against the mollifier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -46,6 +47,19 @@ _KINDS = ("zero", "constant", "linear_friction", "sign_velocity",
 # Closed-form mollifications exist exactly for these kinds; they also depend
 # on z only through v, so the transport shift acts trivially on them.
 CLOSED_FORM_KINDS = ("zero", "constant", "linear_friction", "sign_velocity")
+
+# Gauss-Hermite products formed per block of states in _quadrature_eval: the
+# block is at most this many (P, P) grid points or a single state.  About
+# 256 KB of float64, so each block's product, weighting and sum stay in cache.
+_BLOCK_POINTS = 1 << 15
+
+
+def _check_order(name: str, value, minimum: int) -> int:
+    """A quadrature node count as an int, or ConfigError naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -227,8 +241,7 @@ class MollifiedDrift:
             raise ConfigError(f"mollification resolution must be a positive integer, got {self.n}")
         if not (self.theta > 0 and math.isfinite(self.theta)):
             raise ConfigError(f"taming exponent must be positive and finite, got {self.theta}")
-        if self.quad_points < 2:
-            raise ConfigError("quadrature needs >= 2 nodes")
+        object.__setattr__(self, "quad_points", _check_order("quad_points", self.quad_points, 2))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "theta", float(self.theta))
 
@@ -278,10 +291,14 @@ def mollify(drift: DriftSpec, n: int, theta: float, d: int = 1,
     return md
 
 
+@functools.lru_cache(maxsize=32)
 def _hermite_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
-    # E f(N(0,1)) = sum w_i f(sqrt(2) y_i) with w normalized by sqrt(pi).
+    """Nodes and weights with E f(N(0,1)) = sum w_i f(y_i); read-only, built once."""
     y, w = np.polynomial.hermite.hermgauss(points)
-    return y * math.sqrt(2.0), w / math.sqrt(math.pi)
+    ys, ws = y * math.sqrt(2.0), w / math.sqrt(math.pi)
+    ys.flags.writeable = False
+    ws.flags.writeable = False
+    return ys, ws
 
 
 def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
@@ -290,25 +307,45 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
 
     Both quadrature kinds have b_i depending on (x_i, v_i) only, so the
     2d-dimensional convolution factorizes into one 2-D quadrature per
-    component.  The result is C-ordered whatever the layout of `v`.
+    component.  The states are flattened and taken in blocks of at most
+    _BLOCK_POINTS grid points: per block and component the (block, P, P)
+    point values are weighted in place and summed over the grid.  Every
+    point value, product and per-state sum is the one the whole-array
+    product would give, since the grid sum of each state reads only that
+    state's contiguous (P, P) slab, so the bits do not depend on the block
+    size; the block keeps the product in cache instead of streaming
+    (..., P, P) temporaries through memory.  The result is C-ordered
+    whatever the layout of `v`.
     """
     ys, ws = _hermite_rule(points)
-    out = np.empty(v.shape)
-    d = v.shape[-1]
     yx = ys[:, None] * md.sigma_x  # offsets in x
     yv = ys[None, :] * md.sigma_v  # offsets in v
     wgrid = ws[:, None] * ws[None, :]
-    for i in range(d):
-        xi = x[..., i, None, None] - yx[None, ...]
-        vi = v[..., i, None, None] - yv[None, ...]
-        vals = evaluate_arrays(md.base, xi[..., None], vi[..., None])[..., 0]
-        out[..., i] = np.sum(vals * wgrid, axis=(-2, -1))
-    return out
+    shape = np.broadcast_shapes(x.shape, v.shape)
+    d = shape[-1]
+    xf = np.broadcast_to(x, shape).reshape(-1, d)
+    vf = np.broadcast_to(v, shape).reshape(-1, d)
+    out = np.empty(xf.shape)
+    block = max(1, _BLOCK_POINTS // points**2)
+    for lo in range(0, out.shape[0], block):
+        hi = lo + block
+        for i in range(d):
+            xi = xf[lo:hi, i, None, None] - yx
+            vi = vf[lo:hi, i, None, None] - yv
+            vals = evaluate_arrays(md.base, xi[..., None], vi[..., None])[..., 0]
+            vals *= wgrid
+            out[lo:hi, i] = np.sum(vals, axis=(-2, -1))
+    return out.reshape(shape)
 
 
 def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
                             points: int | None = None) -> np.ndarray:
-    """Vectorized mollified drift on arrays of shape (..., d)."""
+    """Vectorized mollified drift on arrays of shape (..., d).
+
+    `points` is the Gauss-Hermite node count per axis for the quadrature
+    kinds; None means `md.quad_points`.
+    """
+    points = md.quad_points if points is None else _check_order("points", points, 2)
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     kind = md.base.kind
@@ -322,7 +359,7 @@ def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
         return -md.base.gamma * v
     if kind == "sign_velocity":
         return erf(md.erf_scale * v)
-    return _quadrature_eval(md, x, v, points or md.quad_points)
+    return _quadrature_eval(md, x, v, points)
 
 
 def mollify_evaluate(md: MollifiedDrift, z) -> np.ndarray:
@@ -332,9 +369,10 @@ def mollify_evaluate(md: MollifiedDrift, z) -> np.ndarray:
 
 
 def mollify_quadrature_error(md: MollifiedDrift, z) -> float:
-    """Max componentwise gap between the 64- and 32-node quadrature values.
+    """Max componentwise gap between the quad_points- and quad_points//2-node values.
 
-    Zero for closed-form kinds.
+    Zero for closed-form kinds.  The quadrature kinds need quad_points >= 4,
+    so that the coarser rule has at least 2 nodes.
     """
     if md.closed_form:
         return 0.0

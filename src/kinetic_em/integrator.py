@@ -33,6 +33,7 @@ from ._rng import ROLE_OU_RESIDUAL, normal_words, stream_key
 from .drifts import (
     CLOSED_FORM_KINDS,
     MollifiedDrift,
+    _check_order,
     evaluate_arrays,
     mollify_evaluate_arrays,
 )
@@ -70,9 +71,7 @@ class SchemeConfig:
     initial: Initial | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.quad_order, (int, np.integer)) and self.quad_order >= 1):
-            raise ConfigError(f"quad_order must be a positive integer, got {self.quad_order}")
-        object.__setattr__(self, "quad_order", int(self.quad_order))
+        object.__setattr__(self, "quad_order", _check_order("quad_order", self.quad_order, 1))
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def _legendre_rule(h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
     The B weights sum to h; the A weights are the B weights times (h - node).
     """
-    y, w = np.polynomial.legendre.leggauss(order)
+    y, w = np.polynomial.legendre.leggauss(_check_order("quad_order", order, 1))
     nodes, weights = (y + 1.0) * (0.5 * h), w * (0.5 * h)
     return nodes, weights, weights * (h - nodes)
 
@@ -147,11 +146,9 @@ def substep_integrals(md: MollifiedDrift, z, h: float, quad_order: int = 8) -> S
     """
     if not h > 0:
         raise DomainError(f"step size must be positive, got {h}")
-    if quad_order < 1:
-        raise ConfigError(f"quad_order must be >= 1, got {quad_order}")
+    rule = _legendre_rule(h, quad_order)
     zz = as_phase_state(z)
-    b, a = _shifted_drift_integrals(md, zz.x[None, :], zz.v[None, :],
-                                    _legendre_rule(h, quad_order))
+    b, a = _shifted_drift_integrals(md, zz.x[None, :], zz.v[None, :], rule)
     return SubstepIntegrals(B=b[0], A=a[0])
 
 

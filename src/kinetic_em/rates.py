@@ -94,6 +94,16 @@ def _run_chunks(ranges, threads: int, worker) -> None:
             fut.result()
 
 
+def _check_finite(drift: DriftSpec, n: int, lo: int, x: np.ndarray, v: np.ndarray) -> None:
+    """Raise DomainError if a chunk's final states, streams lo.., are not all finite."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise DomainError(
+            f"drift {drift.drift_id} diverged at level n={n}: stream index "
+            f"{lo + int(finite.argmin())} ends in a non-finite state"
+        )
+
+
 def _check_levels(levels) -> tuple[int, ...]:
     out = tuple(int(n) for n in levels)
     if not out:
@@ -399,6 +409,7 @@ def strong_error(
         else:
             rx, rv = step_block(md_ref, grid_ref.h, dw, di, x, v, quad_order,
                                 record_stride=stride)
+        _check_finite(drift, n_ref, lo, x, v)
         for li, grid in enumerate(grids):
             factor = k_ref // grid.num_steps
             dwc, dic = coarsen_block(dw, di, factor, grid_ref.h)
@@ -409,6 +420,7 @@ def strong_error(
             v = np.broadcast_to(v0, (mc, d)).copy()
             lx, lv = step_block(md_levels[li], grid.h, dwc, dic, x, v, quad_order,
                                 record_stride=1)
+            _check_finite(drift, grid.n, lo, x, v)
             sel = selectors[li]
             dx = lx - rx[sel]
             dv = lv - rv[sel]
@@ -563,6 +575,7 @@ def weak_error(
             v = np.broadcast_to(v0, (mc, d)).copy()
             rec_x, rec_v = step_block(md, grid.h, dw, di, x, v, quad_order,
                                       record_stride=stride)
+            _check_finite(drift, grid.n, lo, x, v)
             for ti, k in enumerate(ks):
                 slot = k // stride - 1
                 xs, vs = rec_x[slot], rec_v[slot]
@@ -827,6 +840,7 @@ def tv_proxy(
             x = np.broadcast_to(x0, (mc, d)).copy()
             v = np.broadcast_to(v0, (mc, d)).copy()
             step_block(md, grid.h, dw, di, x, v, quad_order)
+            _check_finite(drift, grid.n, lo, x, v)
             fx[lo:hi] = x[:, 0]
             fv[lo:hi] = v[:, 0]
 

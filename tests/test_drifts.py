@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kinetic_em import drifts
 from kinetic_em.drifts import (
     DriftSpec,
+    MollifiedDrift,
     TabulatedField,
     admissibility_bound,
     constant_drift,
@@ -128,6 +130,66 @@ def test_quadrature_route_ignores_velocity_layout():
     copied = mollify_evaluate_arrays(md, x, v.copy())
     assert viewed.flags.c_contiguous
     assert np.array_equal(np.tensordot(w, viewed, axes=1), np.tensordot(w, copied, axes=1))
+
+
+def _unblocked_quadrature(md, x, v, points):
+    # the whole (..., P, P) product and grid sum in one go
+    ys, ws = np.polynomial.hermite.hermgauss(points)
+    ys, ws = ys * math.sqrt(2.0), ws / math.sqrt(math.pi)
+    yx = ys[:, None] * md.sigma_x
+    yv = ys[None, :] * md.sigma_v
+    wgrid = ws[:, None] * ws[None, :]
+    out = np.empty(v.shape)
+    for i in range(v.shape[-1]):
+        xi = x[..., i, None, None] - yx[None, ...]
+        vi = v[..., i, None, None] - yv[None, ...]
+        vals = evaluate_arrays(md.base, xi[..., None], vi[..., None])[..., 0]
+        out[..., i] = np.sum(vals * wgrid, axis=(-2, -1))
+    return out
+
+
+@pytest.mark.parametrize("states", [1, 5, 8, 1000])
+def test_blocked_quadrature_matches_unblocked_oracle(monkeypatch, states):
+    # 8 x 37 states: the block divides neither the node count nor the paths
+    monkeypatch.setattr(drifts, "_BLOCK_POINTS", states * 64 * 64)
+    rng = np.random.default_rng(23)
+    table = TabulatedField(np.linspace(-6, 6, 25), np.linspace(-6, 6, 25),
+                           rng.normal(size=(25, 25)))
+    cases = [mollify(oscillatory_singular(), 16, 0.02, d=d) for d in (1, 2, 3)]
+    cases.append(mollify(tabulated_drift(table), 16, 0.5))
+    for d, md in zip((1, 2, 3, 1), cases):
+        x = 0.5 * rng.normal(size=(8, 37, d))
+        v = np.broadcast_to(0.5 * rng.normal(size=(37, d)), x.shape)
+        got = mollify_evaluate_arrays(md, x, v)
+        assert got.shape == x.shape and got.flags.c_contiguous
+        assert np.array_equal(got, _unblocked_quadrature(md, x, v, 64))
+
+
+def test_blocked_quadrature_keeps_extrapolation_error():
+    table = TabulatedField(np.linspace(-1, 1, 5), np.linspace(-6, 6, 5), np.zeros((5, 5)))
+    md = mollify(tabulated_drift(table), 16, 0.5)
+    x = np.zeros((40, 1))
+    assert np.array_equal(mollify_evaluate_arrays(md, x, x), x)
+    x[33] = 0.99  # the offsets of this state, in the fifth block, leave the grid
+    with pytest.raises(ExtrapolationError):
+        mollify_evaluate_arrays(md, x, np.zeros((40, 1)))
+
+
+def test_quadrature_orders_must_be_integers():
+    osc = oscillatory_singular()
+    for bad in (2.5, 1, 0, True, "64"):
+        with pytest.raises(ConfigError, match="quad_points"):
+            MollifiedDrift(osc, 8, 0.5, quad_points=bad)
+    with pytest.raises(ConfigError, match="quad_points"):
+        mollify(osc, 8, 0.5, quad_points=2.5)
+    assert MollifiedDrift(osc, 8, 0.5, quad_points=np.int64(16)).quad_points == 16
+    md = mollify(osc, 16, 0.5)
+    z = (np.array([0.2]), np.array([0.1]))
+    for bad in (0, 1, 2.5, 32.0):
+        with pytest.raises(ConfigError, match="points"):
+            mollify_evaluate_arrays(md, *z, points=bad)
+    assert np.array_equal(mollify_evaluate_arrays(md, *z, points=None),
+                          mollify_evaluate_arrays(md, *z, points=64))
 
 
 def test_quadrature_error_diagnostic():

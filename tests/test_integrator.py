@@ -81,8 +81,9 @@ def test_substep_integrals_validation():
     md = mollify(zero_drift(), 4, 0.5)
     with pytest.raises(DomainError):
         substep_integrals(md, ([0.0], [0.0]), 0.0)
-    with pytest.raises(ConfigError):
-        substep_integrals(md, ([0.0], [0.0]), 0.5, quad_order=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ConfigError, match="quad_order"):
+            substep_integrals(md, ([0.0], [0.0]), 0.5, quad_order=bad)
 
 
 def test_closed_form_code_mapping():

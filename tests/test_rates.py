@@ -146,6 +146,38 @@ def test_strong_error_linear_friction_exact_reference():
     assert rep.errors[-1] < rep.errors[0]
 
 
+def test_diverging_drift_raises_naming_the_level():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the way
+        with pytest.raises(DomainError, match=r"linear_friction\(gamma=1e\+200\).*n=32"):
+            strong_error(linear_friction(1e200), 0.5, (8, 16), 32, samples=100, seed=1)
+
+
+@pytest.mark.parametrize("experiment", ["strong", "weak", "tv"])
+def test_non_finite_final_state_names_its_stream(monkeypatch, experiment):
+    real = rates.step_block
+    level_8_calls = []
+
+    def poisoned(md, h, dw, di, x, v, *args, **kwargs):
+        out = real(md, h, dw, di, x, v, *args, **kwargs)
+        if md.n == 8:
+            level_8_calls.append(None)
+            if len(level_8_calls) == 2:  # the second chunk, streams 40..79
+                v[17, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(rates, "step_block", poisoned)
+    s = sign_velocity()
+    run = {
+        "strong": lambda: strong_error(s, 0.5, (8, 16), 32, samples=120, chunk=40, seed=3),
+        "weak": lambda: weak_error(s, 0.5, (8, 16), 32, samples=120, ref_samples=100,
+                                   chunk=40, seed=3),
+        "tv": lambda: tv_proxy(s, 0.5, 8, 32, bins=8, samples=512, chunk=40, seed=3),
+    }[experiment]
+    with pytest.raises(DomainError, match="sign_velocity.*n=8.*stream index 57"):
+        run()
+
+
 def test_weak_error_constant_function_is_exact():
     const = FunctionSet(("one",), (lambda x, v: np.ones(x.shape[0]),))
     rep = weak_error(zero_drift(), 0.5, (8, 16, 32), 64, fset=const,
