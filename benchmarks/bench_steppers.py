@@ -1,7 +1,9 @@
-"""Benchmark the compiled stepping core against the NumPy fallback.
+"""Benchmark the stepping backends against each other.
 
-Runs the closed-form one-step kernel over a grid of (steps, paths) workloads
-for each drift kind and reports throughput in path-steps per second.
+Runs the closed-form stepping kernel of every backend in
+`available_backends()` over a grid of (steps, paths) workloads for each drift
+kind and reports throughput in path-steps per second.  The compiled backend is
+there once `python setup.py build_ext --inplace` has built it.
 
 Usage: python3 benchmarks/bench_steppers.py [--quick]
 """
@@ -11,7 +13,7 @@ import time
 
 import numpy as np
 
-from kinetic_em._steppers import _numpy
+from kinetic_em._steppers import available_backends
 from kinetic_em.drifts import (
     constant_drift,
     linear_friction,
@@ -20,11 +22,6 @@ from kinetic_em.drifts import (
     zero_drift,
 )
 from kinetic_em.integrator import closed_form_code
-
-try:
-    from kinetic_em._steppers import _core
-except ImportError:
-    _core = None
 
 # mollified at n=64, theta=0.25 (admissible up to d=3): erf scale 64^0.25/sqrt(2) = 2
 DRIFTS = {
@@ -69,7 +66,9 @@ def main() -> None:
     if args.quick:
         shapes = [(256, 128, 1), (1024, 256, 1)]
 
-    if _core is None:
+    backends = available_backends()
+    compiled = backends.get("compiled")
+    if compiled is None:
         print("compiled backend unavailable; benchmarking the NumPy fallback only")
     header = f"{'kind':16s} {'steps':>6s} {'paths':>6s} {'d':>2s} " \
              f"{'numpy Mps':>10s} {'compiled Mps':>13s} {'speedup':>8s}"
@@ -79,10 +78,10 @@ def main() -> None:
         for steps, paths, d in shapes:
             kind, params = kind_and_params(drift, d)
             h, dw, di, x, v = workload(steps, paths, d)
-            t_np = run(_numpy.step_closed_form, kind, params, h, dw, di, x, v)
+            t_np = run(backends["numpy"], kind, params, h, dw, di, x, v)
             mps_np = steps * paths * d / t_np / 1e6
-            if _core is not None:
-                t_c = run(_core.step_closed_form, kind, params, h, dw, di, x, v)
+            if compiled is not None:
+                t_c = run(compiled, kind, params, h, dw, di, x, v)
                 mps_c = steps * paths * d / t_c / 1e6
                 print(f"{kind_name:16s} {steps:6d} {paths:6d} {d:2d} "
                       f"{mps_np:10.1f} {mps_c:13.1f} {t_np / t_c:7.2f}x")

@@ -1,25 +1,15 @@
-"""Build script: compiles the optional stepper extension, falls back to pure Python."""
+"""Build script: compiles the optional C stepping kernel; without it the NumPy backend runs.
 
-import sys
+The kernel has no Python init function: `kinetic_em._steppers` loads it by
+path with ctypes.  -ffp-contract=off keeps every multiply and add rounded on
+its own, as NumPy rounds them, so the two backends agree bit for bit.
+"""
 
 from setuptools import Extension, setup
 
-
-def extensions():
-    try:
-        import numpy
-        from Cython.Build import cythonize
-    except ImportError as exc:
-        print(f"stepper extension skipped ({exc}); pure-NumPy backend will be used",
-              file=sys.stderr)
-        return []
-    ext = Extension(
-        "kinetic_em._steppers._core",
-        ["src/kinetic_em/_steppers/_core.pyx"],
-        include_dirs=[numpy.get_include()],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-    )
-    return cythonize([ext], language_level="3")
-
-
-setup(ext_modules=extensions())
+setup(ext_modules=[Extension(
+    "kinetic_em._steppers._kernel",
+    ["src/kinetic_em/_steppers/_kernel.c"],
+    extra_compile_args=["-std=c99", "-O2", "-ffp-contract=off"],
+    optional=True,
+)])

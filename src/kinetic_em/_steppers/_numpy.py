@@ -1,4 +1,4 @@
-"""Pure-NumPy stepping kernel; mirrors the compiled core operation for operation.
+"""Pure-NumPy stepping kernel; `_kernel.c` mirrors it operation for operation.
 
 The update order per element is fixed so that both backends round
 identically:
@@ -7,9 +7,7 @@ identically:
     x_k+1 = ((x_k + h*v_k) + (h*h/2)*c) + dI_k
     v_k+1 = (v_k + h*c) + dW_k
 
-The compiled backend uses libm's erf while this one uses scipy's (Cephes);
-those may differ in the last bit, so cross-backend agreement for the sign
-kind is to ~1 ulp per step, not bitwise.
+Both backends take erf from scipy, so they agree bit for bit.
 """
 
 import numpy as np

@@ -19,10 +19,13 @@ import sys
 import tempfile
 import time
 
+import mpmath
 import numpy as np
+import scipy
 
 from . import __version__
 from ._rng import ROLE_SIMULATE, stream_key
+from ._steppers import backend_name
 from .drifts import drift_from_name, mollify
 from .errors import ConfigError, KineticEmError
 from .integrator import SchemeConfig, integrate, trajectory_to_csv
@@ -545,6 +548,10 @@ def main(argv=None) -> int:
             "checks": [c.as_dict() for c in checks],
             "passed": all(c.passed for c in checks),
             "summary": summary,
+            # what ran; outside config_hash and the output checksums
+            "telemetry": {"backend": backend_name(),
+                          "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                                       "mpmath": mpmath.__version__}},
         }
         _atomic_write(os.path.join(outdir, "manifest.json"),
                       json.dumps(manifest, indent=2).encode("utf-8"))

@@ -3,9 +3,12 @@ import io
 import json
 import os
 
+import mpmath
 import numpy as np
 import pytest
+import scipy
 
+from kinetic_em import backend_name
 from kinetic_em.cli import config_hash, effective_config, load_config, main
 from kinetic_em.errors import ConfigError
 from kinetic_em.paths import GridSpec, prefix_integrals, sample_path
@@ -89,6 +92,12 @@ def test_simulate_zero_drift_matches_free_flow(tmp_path):
     assert manifest["subcommand"] == "simulate"
     assert manifest["passed"] is True
     assert set(manifest["outputs"]) == {"path_0000.csv"}
+    assert manifest["telemetry"] == {
+        "backend": backend_name(),
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                     "mpmath": mpmath.__version__},
+    }
+    assert "telemetry" not in manifest["config"]
 
 
 def test_repeated_runs_are_checksum_identical(tmp_path):

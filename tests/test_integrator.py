@@ -1,10 +1,17 @@
 import io
 import math
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kinetic_em import _steppers
+from kinetic_em._steppers import _numpy
 from kinetic_em.drifts import (
     TabulatedField,
     constant_drift,
@@ -35,6 +42,8 @@ from kinetic_em.paths import (
     sample_increment_block,
     sample_path,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_substep_integrals_affine_analytic():
@@ -101,33 +110,82 @@ def test_closed_form_code_mapping():
         closed_form_code(mollify(constant_drift([1.0, 2.0]), 4, 0.5, d=2), 3)
 
 
-def test_backend_parity():
-    backends = _steppers.available_backends()
-    if len(backends) < 2:
-        pytest.skip("only one stepper backend built")
-    g = GridSpec(n=32, horizon=1.0, d=2)
-    dw, di = sample_increment_block(g, 7, range(16))
-    cases = [
-        (_steppers.KIND_ZERO, np.zeros(1), 0.0),
-        (_steppers.KIND_CONSTANT, np.array([0.5, -0.25]), 0.0),
-        (_steppers.KIND_LINEAR_FRICTION, np.array([1.0]), 0.0),
-        (_steppers.KIND_SIGN_VELOCITY, np.array([4.0]), 1e-12),
-    ]
-    for kind, params, tol in cases:
-        outs = []
-        for fn in backends.values():
-            x = np.zeros((16, 2))
-            v = np.full((16, 2), 0.3)
-            fn(dw, di, x, v, g.h, kind, params)
-            outs.append((x, v))
-        gap = max(
-            np.max(np.abs(outs[0][0] - outs[1][0])),
-            np.max(np.abs(outs[0][1] - outs[1][1])),
-        )
-        if tol == 0.0:
-            assert gap == 0.0
-        else:
-            assert gap <= tol
+def _build_kernel(tmp_path):
+    """Compile _kernel.c through setup.py into tmp_path; the library's path."""
+    cc = sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc})")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
+        cwd=REPO, check=True, capture_output=True, text=True,
+    )
+    built = sorted((tmp_path / "lib").rglob("_kernel*"))
+    assert len(built) == 1, proc.stderr
+    return built[0]
+
+
+def test_backend_parity(tmp_path):
+    compiled = _steppers.load_kernel(_build_kernel(tmp_path))
+    assert compiled is not None, "scipy exports no C erf"
+    for d in (1, 2, 3):
+        g = GridSpec(n=32, horizon=1.0, d=d)
+        dw, di = sample_increment_block(g, 7, range(16))
+        cases = [
+            (_steppers.KIND_ZERO, np.zeros(1)),
+            (_steppers.KIND_CONSTANT, np.linspace(0.5, -0.25, d)),
+            (_steppers.KIND_LINEAR_FRICTION, np.array([1.0])),
+            (_steppers.KIND_SIGN_VELOCITY, np.array([4.0])),
+        ]
+        for kind, params in cases:
+            for stride in (0, 4):
+                outs = []
+                for fn in (_numpy.step_closed_form, compiled):
+                    x = np.zeros((16, d))
+                    v = np.full((16, d), 0.3)
+                    x_rec, v_rec = _numpy.record_buffers(dw, stride)
+                    fn(dw, di, x, v, g.h, kind, params, x_rec, v_rec, stride)
+                    outs.append([x, v] + ([x_rec, v_rec] if stride else []))
+                for a, b in zip(*outs):
+                    assert np.array_equal(a, b), (d, kind, stride)
+
+
+def _guard_case(**bad):
+    """Valid step_closed_form arguments for 4 paths at d=2, with `bad` swapped in."""
+    args = dict(
+        dW=np.zeros((8, 4, 2)), dI=np.zeros((8, 4, 2)), x=np.zeros((4, 2)), v=np.zeros((4, 2)),
+        h=0.125, kind=_steppers.KIND_LINEAR_FRICTION, params=np.ones(1),
+        x_rec=np.zeros((2, 4, 2)), v_rec=np.zeros((2, 4, 2)), stride=4,
+    )
+    args.update(bad)
+    return args
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("name, args", [
+    pytest.param("dW", _guard_case(dW=np.zeros((8, 4))), id="dW-ndim"),
+    pytest.param("dI", _guard_case(dI=np.zeros((8, 4, 3))), id="dI-shape"),
+    pytest.param("x", _guard_case(x=np.zeros((5, 2))), id="x-shape"),
+    pytest.param("v", _guard_case(v=np.zeros((4, 1))), id="v-shape"),
+    pytest.param("dW", _guard_case(dW=np.zeros((8, 4, 2), dtype=np.float32)), id="dW-dtype"),
+    pytest.param("dI", _guard_case(dI=np.zeros((8, 4, 4))[:, :, ::2]), id="dI-strided"),
+    pytest.param("x", _guard_case(x=np.zeros((2, 4)).T), id="x-fortran"),
+    pytest.param("v", _guard_case(v=_read_only(np.zeros((4, 2)))), id="v-read-only"),
+    pytest.param("kind", _guard_case(kind=4), id="kind-range"),
+    pytest.param("params", _guard_case(params=np.ones(2)), id="params-length"),
+    pytest.param("params", _guard_case(kind=_steppers.KIND_CONSTANT, params=np.ones(1)),
+                 id="params-constant-length"),
+    pytest.param("params", _guard_case(params=[1.0]), id="params-list"),
+    pytest.param("x_rec", _guard_case(x_rec=np.zeros((4, 4, 2))), id="x_rec-shape"),
+    pytest.param("v_rec", _guard_case(v_rec=None), id="v_rec-missing"),
+])
+def test_step_closed_form_rejects_bad_arguments(name, args):
+    with pytest.raises(DomainError, match=rf"^{name} "):
+        _steppers.step_closed_form(**args)
 
 
 def test_free_flow_reproduces_prefix_integrals():
