@@ -19,7 +19,6 @@ from .drifts import (
     linear_friction,
     load_tabulated,
     mollify,
-    mollify_evaluate,
     oscillatory_singular,
     save_tabulated,
     sign_velocity,
@@ -45,21 +44,17 @@ from .kernel import (
     KernelCovariance,
     MixedExponent,
     PhaseState,
-    anisotropic_distance,
     gamma_shift,
     kernel_density,
     kernel_mass,
     mixed_lp_norm,
-    semigroup_apply,
 )
 from .paths import (
     AugmentedPath,
     GridSpec,
     coarsen,
     increment_identity_report,
-    load_path,
     sample_path,
-    save_path,
 )
 from .rates import (
     RateReport,
@@ -92,7 +87,6 @@ __all__ = [
     "TabulatedField",
     "TestFunctionSet",
     "Trajectory",
-    "anisotropic_distance",
     "available_backends",
     "backend_name",
     "coarsen",
@@ -107,16 +101,12 @@ __all__ = [
     "kernel_density",
     "kernel_mass",
     "linear_friction",
-    "load_path",
     "load_tabulated",
     "mixed_lp_norm",
     "mollify",
-    "mollify_evaluate",
     "oscillatory_singular",
     "sample_path",
-    "save_path",
     "save_tabulated",
-    "semigroup_apply",
     "sign_velocity",
     "strong_error",
     "substep_integrals",

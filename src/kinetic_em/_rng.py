@@ -25,8 +25,8 @@ counter zero and an empty output buffer.  That is exactly the state of a new
 from OS entropy.  The cell index is read straight off the raw word: a
 Generator double is ``(w >> 11) * 2**-53``, so ``floor(u * 2**52)`` is
 ``w >> 12`` and no double rounding sits between the word and the normal.
-`make_generator` stays for the callers that need a full ``Generator``
-(bootstrap resampling, the kernel semigroup check).
+`make_generator` builds a full ``Generator`` on the same key; its only
+caller is the bootstrap resampling of strong-error runs.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ ROLE_WEAK_REF = 4
 ROLE_WEAK_LEVEL = 5
 ROLE_DEMO = 6
 ROLE_TV = 7
-ROLE_SEMIGROUP = 8
+# 8 is retired; the other roles keep their numbers so existing streams stay put.
 ROLE_BOOTSTRAP = 9
 ROLE_INCREMENT_CHECK = 10
 

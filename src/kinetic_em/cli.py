@@ -318,6 +318,8 @@ def cmd_simulate(cfg: dict, threads: int):
     sample_at = cfg.get("sample_at")
     if sample_at is not None and (sample_at < n or sample_at % n):
         raise ConfigError(f"sample_at={sample_at} must be a multiple of n={n}")
+    if cfg["paths"] < 1:
+        raise ConfigError(f"paths must be >= 1, got {cfg['paths']}")
     outputs = {}
     for j in range(cfg["paths"]):
         stream = stream_key(ROLE_SIMULATE, j)
@@ -418,6 +420,8 @@ def cmd_taming_demo(cfg: dict, threads: int):
 
 def cmd_kernel_check(cfg: dict, threads: int):
     probes, points = cfg["probes"], cfg["points"]
+    if probes < 1:
+        raise ConfigError(f"probes must be >= 1, got {probes}")
     rng = np.random.default_rng(cfg["seed"])
     rows = []
 
@@ -521,6 +525,8 @@ def main(argv=None) -> int:
         file_values = load_config(args.config, sub) if args.config else {}
         flags = {"seed": args.seed, "threads": args.threads, "out": args.out}
         cfg = effective_config(sub, file_values, flags)
+        if not 0 <= cfg["seed"] < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {cfg['seed']}")
         threads = resolve_threads(cfg.get("threads"))
         digest = config_hash(cfg)
 

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, DomainError, ExtrapolationError
-from .kernel import as_phase_state
 
 __all__ = [
     "DriftSpec",
@@ -32,10 +31,7 @@ __all__ = [
     "sign_velocity",
     "oscillatory_singular",
     "tabulated_drift",
-    "evaluate",
     "mollify",
-    "mollify_evaluate",
-    "mollifier_density",
     "drift_from_name",
     "load_tabulated",
     "save_tabulated",
@@ -147,20 +143,6 @@ class DriftSpec:
             return f"oscillatory_singular(kappa={self.kappa!r},beta={self.profile_beta!r})"
         return self.kind
 
-    def sup_norm(self) -> float | None:
-        """Exact sup norm for bounded entries, None for unbounded ones."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return float(np.max(np.abs(self.constant))) if self.constant else 0.0
-        if self.kind == "sign_velocity":
-            return 1.0
-        if self.kind == "oscillatory_singular":
-            return 1.0
-        if self.kind == "tabulated":
-            return float(np.max(np.abs(self.table.values)))
-        return None  # linear friction is unbounded
-
 
 def zero_drift() -> DriftSpec:
     return DriftSpec(kind="zero", beta_label=1.0)
@@ -221,12 +203,6 @@ def evaluate_arrays(drift: DriftSpec, x: np.ndarray, v: np.ndarray) -> np.ndarra
     raise ConfigError(f"unknown drift kind {drift.kind!r}")
 
 
-def evaluate(drift: DriftSpec, z) -> np.ndarray:
-    """b(z) for a single phase point, returned as a length-d vector."""
-    zz = as_phase_state(z)
-    return evaluate_arrays(drift, zz.x, zz.v)
-
-
 @dataclass(frozen=True)
 class MollifiedDrift:
     """b convolved with the anisotropic Gaussian at resolution n, exponent theta."""
@@ -257,10 +233,6 @@ class MollifiedDrift:
     def erf_scale(self) -> float:
         """n^theta / sqrt(2): the mollified sign drift is erf(erf_scale * v)."""
         return float(self.n) ** self.theta / math.sqrt(2.0)
-
-    @property
-    def closed_form(self) -> bool:
-        return self.base.kind in CLOSED_FORM_KINDS
 
 
 def admissibility_bound(drift: DriftSpec, d: int) -> float | None:
@@ -301,8 +273,7 @@ def _hermite_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, ws
 
 
-def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
-                     points: int) -> np.ndarray:
+def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Componentwise 2-D Gauss-Hermite convolution for kinds without closed form.
 
     Both quadrature kinds have b_i depending on (x_i, v_i) only, so the
@@ -317,6 +288,7 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
     (..., P, P) temporaries through memory.  The result is C-ordered
     whatever the layout of `v`.
     """
+    points = md.quad_points
     ys, ws = _hermite_rule(points)
     yx = ys[:, None] * md.sigma_x  # offsets in x
     yv = ys[None, :] * md.sigma_v  # offsets in v
@@ -338,14 +310,11 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
     return out.reshape(shape)
 
 
-def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
-                            points: int | None = None) -> np.ndarray:
+def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized mollified drift on arrays of shape (..., d).
 
-    `points` is the Gauss-Hermite node count per axis for the quadrature
-    kinds; None means `md.quad_points`.
+    The quadrature kinds use `md.quad_points` Gauss-Hermite nodes per axis.
     """
-    points = md.quad_points if points is None else _check_order("points", points, 2)
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     kind = md.base.kind
@@ -359,40 +328,7 @@ def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
         return -md.base.gamma * v
     if kind == "sign_velocity":
         return erf(md.erf_scale * v)
-    return _quadrature_eval(md, x, v, points)
-
-
-def mollify_evaluate(md: MollifiedDrift, z) -> np.ndarray:
-    """Mollified drift at a single phase point, length-d vector."""
-    zz = as_phase_state(z)
-    return mollify_evaluate_arrays(md, zz.x, zz.v)
-
-
-def mollify_quadrature_error(md: MollifiedDrift, z) -> float:
-    """Max componentwise gap between the quad_points- and quad_points//2-node values.
-
-    Zero for closed-form kinds.  The quadrature kinds need quad_points >= 4,
-    so that the coarser rule has at least 2 nodes.
-    """
-    if md.closed_form:
-        return 0.0
-    zz = as_phase_state(z)
-    hi = mollify_evaluate_arrays(md, zz.x, zz.v, points=md.quad_points)
-    lo = mollify_evaluate_arrays(md, zz.x, zz.v, points=md.quad_points // 2)
-    return float(np.max(np.abs(hi - lo)))
-
-
-def mollifier_density(n: int, theta: float, z) -> float:
-    """The scaled mollifier n^(4 d theta) phi(n^(3 theta) x, n^theta v) pointwise."""
-    zz = as_phase_state(z)
-    d = zz.d
-    nf = float(n)
-    sx = nf**(3.0 * theta)
-    sv = nf**theta
-    u = sx * zz.x
-    w = sv * zz.v
-    log_phi = -0.5 * float(u @ u + w @ w) - d * math.log(2.0 * math.pi)
-    return float(nf ** (4.0 * d * theta) * math.exp(log_phi))
+    return _quadrature_eval(md, x, v)
 
 
 def drift_from_name(name: str, **params) -> DriftSpec:

@@ -102,13 +102,6 @@ class Trajectory:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def state(self, k: int) -> PhaseState:
-        return PhaseState(self.x[k], self.v[k])
-
-    @property
-    def final(self) -> PhaseState:
-        return self.state(len(self) - 1)
-
 
 @dataclass(frozen=True)
 class SubstepIntegrals:

@@ -4,21 +4,20 @@ The central object is the Gaussian law of the pair ``G_t = (int_0^t W_s ds,
 W_t)`` for a d-dimensional Brownian motion ``W``: per dimension the pair
 ``(W_t, int_0^t W_s ds)`` has covariance ``[[t, t^2/2], [t^2/2, t^3/3]]``.
 Its density ``g_t(x, v)`` (``x`` the integral component, ``v`` the endpoint)
-is the transition kernel of kinetic free flow, and the operators here -- the
-transport shift, the semigroup ``P_t f(z) = E f(shift_t z + G_t)``, mixed
-position/velocity Lebesgue norms, and the anisotropic distance -- are the
-exact objects the integrator and the error laboratory test against.
+is the transition kernel of kinetic free flow.  The transport shift, the
+kernel pair map, mixed position/velocity Lebesgue norms and the scaling and
+normalization identities here are the exact objects the integrator, the
+samplers and ``kernel-check`` rely on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._rng import ROLE_SEMIGROUP, make_generator, stream_key
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "gamma_shift",
     "kernel_pair",
     "kernel_density",
-    "semigroup_apply",
-    "anisotropic_distance",
     "mixed_lp_norm",
     "kernel_grid",
     "kernel_mass",
@@ -102,11 +99,6 @@ class KernelCovariance:
     def matrix(self) -> np.ndarray:
         t = self.t
         return np.array([[t, t * t / 2.0], [t * t / 2.0, t**3 / 3.0]])
-
-    @property
-    def det(self) -> float:
-        # det [[t, t^2/2], [t^2/2, t^3/3]] = t^4/3 - t^4/4 = t^4/12
-        return self.t**4 / 12.0
 
 
 @dataclass(frozen=True)
@@ -213,84 +205,6 @@ def kernel_pair(t: float, a, b):
     return math.sqrt(t) * a, t**1.5 * (0.5 * a + C12 * b)
 
 
-def sample_kernel_pairs(t: float, count: int, d: int, gen: np.random.Generator):
-    """Draw `count` iid copies of (x, v) ~ G_t, shapes (count, d) each."""
-    t = _check_time(t)
-    xi = gen.standard_normal((count, d, 2))
-    v, x = kernel_pair(t, xi[:, :, 0], xi[:, :, 1])
-    return x, v
-
-
-def semigroup_apply(
-    t: float,
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    z,
-    method: str = "quadrature",
-    order: int = 20,
-    samples: int = 100_000,
-    seed: int = 0,
-):
-    """Apply the free-flow semigroup: E f(shift_t z + G_t).
-
-    Parameters
-    ----------
-    t : float
-        Positive time.
-    f : callable
-        Maps arrays (N, d), (N, d) -> (N,); must be bounded on the
-        effective support.
-    z : PhaseState or (x, v)
-        Starting point.
-    method : {"quadrature", "monte_carlo"}
-        "quadrature" uses tensorized Gauss-Hermite in the whitened 2d
-        Gaussian coordinates and returns a float; "monte_carlo" returns the
-        pair (estimate, standard error).
-    order : int
-        Gauss-Hermite nodes per axis (quadrature method), >= 1.
-    samples : int
-        Monte Carlo sample count, >= 2.
-    seed : int
-        Master seed for the Monte Carlo stream.
-    """
-    t = _check_time(t)
-    zz = as_phase_state(z)
-    d = zz.d
-    zs = gamma_shift(t, zz)
-    if method == "quadrature":
-        if order < 1:
-            raise ConfigError(f"quadrature order must be >= 1, got {order}")
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-        # E h(N(0,1)^{2d}) via the product rule: nodes scale by sqrt(2), weights by pi^-1/2.
-        axes = np.meshgrid(*([nodes * math.sqrt(2.0)] * (2 * d)), indexing="ij")
-        waxes = np.meshgrid(*([weights / math.sqrt(math.pi)] * (2 * d)), indexing="ij")
-        xi = np.stack([a.ravel() for a in axes], axis=-1)  # (order**(2d), 2d)
-        w = np.prod(np.stack([a.ravel() for a in waxes], axis=-1), axis=-1)
-        gv, gx = kernel_pair(t, xi[:, :d], xi[:, d:])
-        vals = np.asarray(f(zs.x + gx, zs.v + gv), dtype=np.float64)
-        return float(vals @ w)
-    if method == "monte_carlo":
-        if samples < 2:
-            raise ConfigError(f"monte_carlo needs >= 2 samples, got {samples}")
-        gen = make_generator(seed, stream_key(ROLE_SEMIGROUP, 0))
-        gx, gv = sample_kernel_pairs(t, samples, d, gen)
-        vals = np.asarray(f(zs.x + gx, zs.v + gv), dtype=np.float64)
-        est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(samples))
-        return est, se
-    raise ConfigError(f"unknown semigroup method {method!r}")
-
-
-def anisotropic_distance(z1, z2) -> float:
-    """Kinetic-scaling distance |x1-x2|^(1/3) + |v1-v2| (Euclidean per block)."""
-    a = as_phase_state(z1)
-    b = as_phase_state(z2)
-    if a.d != b.d:
-        raise DomainError(f"dimension mismatch: {a.d} vs {b.d}")
-    dx = float(np.linalg.norm(a.x - b.x))
-    dv = float(np.linalg.norm(a.v - b.v))
-    return float(np.cbrt(dx) + dv)
-
-
 @dataclass(frozen=True)
 class PhaseGrid1D:
     """Tensor quadrature grid on the (x, v) plane (d = 1): nodes plus weights."""
@@ -318,17 +232,24 @@ def _trapezoid_axis(radius: float, points: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, w
 
 
-def kernel_grid(t: float, points: int = 257, radius_sds: float = 8.0) -> PhaseGrid1D:
-    """Trapezoid grid spanning +-radius_sds standard deviations of g_t per axis.
+# Half-width of the kernel quadrature grids, in standard deviations per axis.
+_RADIUS_SDS = 8.0
+
+
+def kernel_grid(t: float, points: int = 257) -> PhaseGrid1D:
+    """Trapezoid grid spanning +-_RADIUS_SDS standard deviations of g_t per axis.
 
     The x axis scales with sqrt(t^3/3) and the v axis with sqrt(t); Gaussian
-    tails make the truncation error negligible at the default radius.
+    tails make the truncation error negligible at that radius.  `points`, the
+    node count per axis, must be at least 2.
     """
     t = _check_time(t)
+    if points < 2:
+        raise ConfigError(f"points must be >= 2, got {points}")
     sx = math.sqrt(t**3 / 3.0)
     sv = math.sqrt(t)
-    x, wx = _trapezoid_axis(radius_sds * sx, points)
-    v, wv = _trapezoid_axis(radius_sds * sv, points)
+    x, wx = _trapezoid_axis(_RADIUS_SDS * sx, points)
+    v, wv = _trapezoid_axis(_RADIUS_SDS * sv, points)
     return PhaseGrid1D(x, wx, v, wv)
 
 
@@ -360,19 +281,18 @@ def mixed_lp_norm(f, p: MixedExponent, grid: PhaseGrid1D) -> float:
     return float((grid.wv @ inner**p.p_v) ** (1.0 / p.p_v))
 
 
-def kernel_mass(t: float, d: int = 1, points: int | None = None, radius_sds: float = 8.0) -> float:
+def kernel_mass(t: float, d: int = 1, points: int | None = None) -> float:
     """Quadrature of the kernel density over phase space (normalization check).
 
-    Uses a tensor trapezoid rule truncated at `radius_sds` standard
-    deviations per axis; the integrand is evaluated in slabs along the first
-    axis to bound memory for d = 2.
+    Uses the tensor trapezoid rule of kernel_grid; the integrand is
+    evaluated in slabs along the first axis to bound memory for d = 2.
     """
     t = _check_time(t)
     if d not in (1, 2):
         raise DomainError("kernel_mass supports d in {1, 2}")
     if points is None:
         points = 257 if d == 1 else 97
-    grid = kernel_grid(t, points, radius_sds)
+    grid = kernel_grid(t, points)
     ax, awx, av, awv = grid.x, grid.wx, grid.v, grid.wv
     if d == 1:
         xx, vv = np.meshgrid(ax, av, indexing="ij")

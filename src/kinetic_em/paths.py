@@ -12,9 +12,7 @@ what couples integrators across resolutions.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "coarsen",
     "increment_identity_report",
     "IncrementIdentityReport",
-    "save_path",
-    "load_path",
 ]
 
 
@@ -270,13 +266,16 @@ class IncrementIdentityReport:
         return float(np.max(np.abs(self.cross) / self.cross_se))
 
 
+# Streams sampled per block in increment_identity_report.
+_IDENTITY_CHUNK = 8192
+
+
 def increment_identity_report(
     grid: GridSpec,
     s_index: int,
     t_index: int,
     samples: int,
     seed: int = 0,
-    chunk: int = 8192,
 ) -> IncrementIdentityReport:
     """Monte Carlo report for the renewal identity between grid indices s and t."""
     if samples < 100:
@@ -295,7 +294,7 @@ def increment_identity_report(
     feats = np.empty((samples, d, 4))
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_IDENTITY_CHUNK, samples - done)
         sids = [stream_key(ROLE_INCREMENT_CHECK, i) for i in range(done, done + m)]
         w, iarr = prefix_integrals(*sample_increment_block(head, seed, sids), h)
         ws, is_ = w[s_index], iarr[s_index]
@@ -329,48 +328,4 @@ def increment_identity_report(
         cov_expected=expected,
         cross=cross,
         cross_se=cross_se,
-    )
-
-
-_MAGIC = b"KEMPATH1"
-_HEADER = struct.Struct("<8sIIQdQQ")  # magic, version, d, n, T, seed, stream_id
-_VERSION = 1
-
-
-def save_path(path: AugmentedPath, fh: BinaryIO) -> None:
-    """Write the binary dump: fixed little-endian header, then increments.
-
-    Body layout is step-major, dimension-minor: for each step k and dimension
-    i the pair (dW[k, i], dI[k, i]) as IEEE-754 doubles.
-    """
-    g = path.grid
-    fh.write(_HEADER.pack(_MAGIC, _VERSION, g.d, g.n, g.horizon, path.seed, path.stream_id))
-    body = np.empty((g.num_steps, g.d, 2))
-    body[:, :, 0] = path.dW
-    body[:, :, 1] = path.dI
-    fh.write(body.astype("<f8").tobytes())
-
-
-def load_path(fh: BinaryIO) -> AugmentedPath:
-    """Read a dump written by save_path."""
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise ConfigError("truncated path file header")
-    magic, version, d, n, horizon, seed, stream_id = _HEADER.unpack(raw)
-    if magic != _MAGIC:
-        raise ConfigError(f"bad path file magic {magic!r}")
-    if version != _VERSION:
-        raise ConfigError(f"unsupported path file version {version}")
-    grid = GridSpec(n=int(n), horizon=float(horizon), d=int(d))
-    count = grid.num_steps * grid.d * 2
-    body = np.frombuffer(fh.read(count * 8), dtype="<f8")
-    if body.size != count:
-        raise ConfigError("truncated path file body")
-    body = body.reshape(grid.num_steps, grid.d, 2)
-    return AugmentedPath(
-        grid=grid,
-        dW=body[:, :, 0].copy(),
-        dI=body[:, :, 1].copy(),
-        seed=int(seed),
-        stream_id=int(stream_id),
     )

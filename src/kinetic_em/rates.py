@@ -647,11 +647,6 @@ def weak_error(
 # Taming demonstration
 
 
-def sin_first(arr: np.ndarray) -> np.ndarray:
-    """Default demo observable: sine of the first coordinate."""
-    return np.sin(arr[:, 0])
-
-
 @dataclass(frozen=True)
 class TamingDemoReport:
     """Paired rates showing the gain of the transport-shift correction.
@@ -673,7 +668,6 @@ class TamingDemoReport:
 def taming_demo(
     levels,
     samples: int = 100_000,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
     seed: int = 0,
     *,
     horizon: float = 47.0 / 48.0,
@@ -682,18 +676,17 @@ def taming_demo(
     """Estimate the two freezing errors of the Brownian running integral.
 
     Everything is sampled exactly from the joint Gaussian law of
-    (W_s, I_s, I_T); no scheme runs.  The target time should be off-grid for
-    every level: levels where it falls on the grid make both errors exactly
-    zero and are dropped with a warning.
+    (W_s, I_s, I_T); no scheme runs.  The observable f is the sine of the
+    first coordinate.  The target time should be off-grid for every level:
+    levels where it falls on the grid make both errors exactly zero and are
+    dropped with a warning.
     """
     levels = _check_levels(levels)
     if samples < 100:
         raise ConfigError(f"insufficient samples: need at least 100, got {samples}")
-    if f is None:
-        f = sin_first
     t_final = float(horizon)
-    if t_final <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
+    if not (t_final > 0.0 and math.isfinite(t_final)):
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
 
     kept = []
     dropped = []
@@ -724,9 +717,9 @@ def taming_demo(
         w_s, i_s = kernel_pair(s, words[..., 0], words[..., 1])
         di_tail = kernel_pair(delta, words[..., 2], words[..., 3])[1]
         i_t = i_s + delta * w_s + di_tail
-        f_t = np.asarray(f(i_t), dtype=np.float64)
-        ivals = np.abs(f_t - f(i_s))
-        jvals = np.abs(f_t - f(i_s + delta * w_s))
+        f_t = np.sin(i_t[:, 0])
+        ivals = np.abs(f_t - np.sin(i_s[:, 0]))
+        jvals = np.abs(f_t - np.sin(i_s[:, 0] + delta * w_s[:, 0]))
         for means, ses, vals in ((est_i, se_i, ivals), (est_j, se_j, jvals),
                                  (gap_means, gap_ses, ivals - jvals)):
             mu, se = _mean_and_se(vals)
@@ -742,7 +735,7 @@ def taming_demo(
         "seed": seed,
         "horizon": t_final,
         "d": d,
-        "observable": getattr(f, "__name__", repr(f)),
+        "observable": "sin_first",
         "s_times": s_times,
         "deltas": deltas,
         "dropped_levels": dropped,

@@ -241,3 +241,21 @@ def test_unknown_config_key_exits_two(tmp_path):
 def test_missing_table_path_exits_two(tmp_path):
     cfg = _write(tmp_path / "cfg.ini", "[simulate]\ndrift = tabulated\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("sub,section,flags,key", [
+    pytest.param("simulate", "", ["--seed", "-1"], "seed", id="seed-negative"),
+    pytest.param("simulate", "", ["--seed", str(2**64)], "seed", id="seed-2**64"),
+    pytest.param("simulate", "paths = 0\n", [], "paths", id="paths-zero"),
+    pytest.param("simulate", "paths = -3\n", [], "paths", id="paths-negative"),
+    pytest.param("taming-demo", "horizon = nan\n", [], "horizon", id="horizon-nan"),
+    pytest.param("taming-demo", "horizon = inf\n", [], "horizon", id="horizon-inf"),
+    pytest.param("kernel-check", "points = 1\n", [], "points", id="points-one"),
+    pytest.param("kernel-check", "probes = 0\n", [], "probes", id="probes-zero"),
+])
+def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, key):
+    cfg = _write(tmp_path / "cfg.ini", f"[{sub}]\n{section}")
+    out = str(tmp_path / "r")
+    assert main([sub, "--config", cfg, "--out", out, *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 from fractions import Fraction
 
@@ -17,11 +16,9 @@ from kinetic_em.paths import (
     coarsen,
     coarsen_block,
     increment_identity_report,
-    load_path,
     prefix_integrals,
     sample_increment_block,
     sample_path,
-    save_path,
     stream_normals,
 )
 
@@ -232,26 +229,3 @@ def test_increment_identity_validation():
         increment_identity_report(g, 13, 5, samples=200)
     with pytest.raises(DomainError):
         increment_identity_report(g, 0, 99, samples=200)
-
-
-def test_dump_roundtrip_bitwise():
-    p = sample_path(GridSpec(n=16, horizon=2.0, d=2), seed=77, stream_id=3)
-    buf = io.BytesIO()
-    save_path(p, buf)
-    buf.seek(0)
-    q = load_path(buf)
-    assert q.grid == p.grid
-    assert q.seed == p.seed and q.stream_id == p.stream_id
-    assert np.array_equal(q.dW, p.dW) and np.array_equal(q.dI, p.dI)
-
-
-def test_dump_rejects_garbage():
-    buf = io.BytesIO(b"not a path dump at all")
-    with pytest.raises((ConfigError, DomainError, ValueError)):
-        load_path(buf)
-    p = sample_path(GridSpec(n=4), seed=0)
-    buf = io.BytesIO()
-    save_path(p, buf)
-    truncated = io.BytesIO(buf.getvalue()[:-9])
-    with pytest.raises((ConfigError, DomainError, ValueError)):
-        load_path(truncated)
