@@ -62,9 +62,11 @@ def main() -> None:
     ap.add_argument("--quick", action="store_true", help="smaller workloads")
     args = ap.parse_args()
 
-    shapes = [(256, 256, 1), (1024, 512, 1), (4096, 1024, 1), (1024, 512, 3)]
+    # paths = 1, 8, 32 bracket the NumPy backend's scalar/vectorized crossover
+    crossover = [(256, 1, 1), (256, 8, 1), (256, 32, 1)]
+    shapes = crossover + [(256, 256, 1), (1024, 512, 1), (4096, 1024, 1), (1024, 512, 3)]
     if args.quick:
-        shapes = [(256, 128, 1), (1024, 256, 1)]
+        shapes = crossover + [(256, 128, 1), (1024, 256, 1)]
 
     backends = available_backends()
     compiled = backends.get("compiled")

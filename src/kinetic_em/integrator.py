@@ -314,13 +314,13 @@ def exact_linear_block(
     """
     a, c1, cmat, lmat, _ = ou_step_coefficients(gamma, h)
     x_rec, v_rec = record_buffers(dW, record_stride)
+    # the update noise does not depend on the state: form it for all steps at once
+    nv = cmat[0, 0] * dW + cmat[0, 1] * dI + lmat[0, 0] * zeta[..., 0]
+    nx = cmat[1, 0] * dW + cmat[1, 1] * dI \
+        + lmat[1, 0] * zeta[..., 0] + lmat[1, 1] * zeta[..., 1]
 
     def step(k):
-        nv = cmat[0, 0] * dW[k] + cmat[0, 1] * dI[k] \
-            + lmat[0, 0] * zeta[k, :, :, 0]
-        nx = cmat[1, 0] * dW[k] + cmat[1, 1] * dI[k] \
-            + lmat[1, 0] * zeta[k, :, :, 0] + lmat[1, 1] * zeta[k, :, :, 1]
-        return (x + c1 * v) + nx, a * v + nv
+        return (x + c1 * v) + nx[k], a * v + nv[k]
 
     march(step, dW.shape[0], x, v, x_rec, v_rec, record_stride)
     return (x_rec, v_rec) if record_stride else None
@@ -360,8 +360,5 @@ def trajectory_to_csv(traj: Trajectory, fh: TextIO) -> None:
     d = traj.d
     cols = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"v_{i+1}" for i in range(d)]
     fh.write(",".join(cols) + "\n")
-    for k in range(len(traj)):
-        row = [repr(float(traj.times[k]))]
-        row += [repr(float(traj.x[k, i])) for i in range(d)]
-        row += [repr(float(traj.v[k, i])) for i in range(d)]
-        fh.write(",".join(row) + "\n")
+    rows = np.column_stack([traj.times, traj.x, traj.v]).tolist()
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

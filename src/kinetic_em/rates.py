@@ -684,6 +684,8 @@ def taming_demo(
     levels = _check_levels(levels)
     if samples < 100:
         raise ConfigError(f"insufficient samples: need at least 100, got {samples}")
+    if d < 1:
+        raise ConfigError(f"d must be at least 1, got {d}")
     t_final = float(horizon)
     if not (t_final > 0.0 and math.isfinite(t_final)):
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
@@ -808,6 +810,8 @@ def tv_proxy(
     n, n_ref = int(n), int(n_ref)
     if bins < 8:
         raise ConfigError(f"need at least 8 bins per axis, got {bins}")
+    if not (radius_sds > 0.0 and math.isfinite(radius_sds)):
+        raise ConfigError(f"radius_sds must be positive and finite, got {radius_sds}")
     if samples < 8 * bins * bins:
         raise ConfigError(
             f"need samples >= 8*bins^2 = {8 * bins * bins} for a stable histogram, "

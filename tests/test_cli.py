@@ -250,6 +250,10 @@ def test_missing_table_path_exits_two(tmp_path):
     pytest.param("simulate", "paths = -3\n", [], "paths", id="paths-negative"),
     pytest.param("taming-demo", "horizon = nan\n", [], "horizon", id="horizon-nan"),
     pytest.param("taming-demo", "horizon = inf\n", [], "horizon", id="horizon-inf"),
+    pytest.param("taming-demo", "d = 0\n", [], "d", id="demo-d-zero"),
+    pytest.param("taming-demo", "d = -2\n", [], "d", id="demo-d-negative"),
+    pytest.param("tv-proxy", "radius_sds = -1\n", [], "radius_sds", id="radius-negative"),
+    pytest.param("tv-proxy", "radius_sds = inf\n", [], "radius_sds", id="radius-inf"),
     pytest.param("kernel-check", "points = 1\n", [], "points", id="points-one"),
     pytest.param("kernel-check", "probes = 0\n", [], "probes", id="probes-zero"),
 ])

@@ -125,29 +125,55 @@ def _build_kernel(tmp_path):
     return built[0]
 
 
+def _closed_form_cases(d):
+    """(kind, params) for every closed-form kind at dimension d."""
+    return [
+        (_steppers.KIND_ZERO, np.zeros(1)),
+        (_steppers.KIND_CONSTANT, np.linspace(0.5, -0.25, d)),
+        (_steppers.KIND_LINEAR_FRICTION, np.array([1.0])),
+        (_steppers.KIND_SIGN_VELOCITY, np.array([4.0])),
+    ]
+
+
+def _step_outputs(fn, dw, di, h, kind, params, stride):
+    """End state, plus the recorded states when stride > 0, from one stepping call."""
+    m, d = dw.shape[1:]
+    x = np.zeros((m, d))
+    v = np.linspace(-1.5, 1.5, m * d).reshape(m, d)
+    x_rec, v_rec = _numpy.record_buffers(dw, stride)
+    fn(dw, di, x, v, h, kind, params, x_rec, v_rec, stride)
+    return [x, v] + ([x_rec, v_rec] if stride else [])
+
+
 def test_backend_parity(tmp_path):
+    # M=1 takes the NumPy backend's scalar route, M=16 its vectorized one
     compiled = _steppers.load_kernel(_build_kernel(tmp_path))
     assert compiled is not None, "scipy exports no C erf"
-    for d in (1, 2, 3):
+    for m in (1, 16):
+        for d in (1, 2, 3):
+            g = GridSpec(n=32, horizon=1.0, d=d)
+            dw, di = sample_increment_block(g, 7, range(m))
+            for kind, params in _closed_form_cases(d):
+                for stride in (0, 4):
+                    outs = [_step_outputs(fn, dw, di, g.h, kind, params, stride)
+                            for fn in (_numpy.step_closed_form, compiled)]
+                    for a, b in zip(*outs):
+                        assert np.array_equal(a, b), (m, d, kind, stride)
+
+
+def test_numpy_scalar_and_vectorized_routes_agree(monkeypatch):
+    for m, d in ((1, 1), (1, 3), (2, 2), (4, 1)):
         g = GridSpec(n=32, horizon=1.0, d=d)
-        dw, di = sample_increment_block(g, 7, range(16))
-        cases = [
-            (_steppers.KIND_ZERO, np.zeros(1)),
-            (_steppers.KIND_CONSTANT, np.linspace(0.5, -0.25, d)),
-            (_steppers.KIND_LINEAR_FRICTION, np.array([1.0])),
-            (_steppers.KIND_SIGN_VELOCITY, np.array([4.0])),
-        ]
-        for kind, params in cases:
-            for stride in (0, 4):
+        dw, di = sample_increment_block(g, 11, range(m))
+        for kind, params in _closed_form_cases(d):
+            for stride in (0, 1, 4):
                 outs = []
-                for fn in (_numpy.step_closed_form, compiled):
-                    x = np.zeros((16, d))
-                    v = np.full((16, d), 0.3)
-                    x_rec, v_rec = _numpy.record_buffers(dw, stride)
-                    fn(dw, di, x, v, g.h, kind, params, x_rec, v_rec, stride)
-                    outs.append([x, v] + ([x_rec, v_rec] if stride else []))
+                for limit in (m * d, m * d - 1):  # scalar route, then vectorized
+                    monkeypatch.setattr(_numpy, "SCALAR_ELEMENTS", limit)
+                    outs.append(_step_outputs(_numpy.step_closed_form, dw, di, g.h,
+                                              kind, params, stride))
                 for a, b in zip(*outs):
-                    assert np.array_equal(a, b), (d, kind, stride)
+                    assert np.array_equal(a, b), (m, d, kind, stride)
 
 
 def _guard_case(**bad):
