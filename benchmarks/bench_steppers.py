@@ -3,7 +3,9 @@
 Runs the closed-form stepping kernel of every backend in
 `available_backends()` over a grid of (steps, paths) workloads for each drift
 kind and reports throughput in path-steps per second.  The compiled backend is
-there once `python setup.py build_ext --inplace` has built it.
+there once `python setup.py build_ext --inplace` has built it.  The
+`exact_linear` rows time `integrator.exact_linear_block`, the exact OU
+solution of strong-rate runs, which has only a NumPy implementation.
 
 Usage: python3 benchmarks/bench_steppers.py [--quick]
 """
@@ -21,7 +23,7 @@ from kinetic_em.drifts import (
     sign_velocity,
     zero_drift,
 )
-from kinetic_em.integrator import closed_form_code
+from kinetic_em.integrator import closed_form_code, exact_linear_block
 
 # mollified at n=64, theta=0.25 (admissible up to d=3): erf scale 64^0.25/sqrt(2) = 2
 DRIFTS = {
@@ -47,12 +49,13 @@ def workload(steps: int, paths: int, d: int, seed: int = 0):
     return h, dw, di, x, v
 
 
-def run(stepper, kind, params, h, dw, di, x, v, repeats: int = 3) -> float:
+def run(call, x, v, repeats: int = 3) -> float:
+    """Best time of call(xs, vs) over fresh copies of the start state."""
     best = float("inf")
     for _ in range(repeats):
         xs, vs = x.copy(), v.copy()
         t0 = time.perf_counter()
-        stepper(dw, di, xs, vs, h, kind, params)
+        call(xs, vs)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -80,16 +83,23 @@ def main() -> None:
         for steps, paths, d in shapes:
             kind, params = kind_and_params(drift, d)
             h, dw, di, x, v = workload(steps, paths, d)
-            t_np = run(backends["numpy"], kind, params, h, dw, di, x, v)
+            t_np = run(lambda xs, vs: backends["numpy"](dw, di, xs, vs, h, kind, params),
+                       x, v)
             mps_np = steps * paths * d / t_np / 1e6
             if compiled is not None:
-                t_c = run(compiled, kind, params, h, dw, di, x, v)
+                t_c = run(lambda xs, vs: compiled(dw, di, xs, vs, h, kind, params), x, v)
                 mps_c = steps * paths * d / t_c / 1e6
                 print(f"{kind_name:16s} {steps:6d} {paths:6d} {d:2d} "
                       f"{mps_np:10.1f} {mps_c:13.1f} {t_np / t_c:7.2f}x")
             else:
                 print(f"{kind_name:16s} {steps:6d} {paths:6d} {d:2d} "
                       f"{mps_np:10.1f} {'-':>13s} {'-':>8s}")
+    for steps, paths, d in shapes:
+        h, dw, di, x, v = workload(steps, paths, d)
+        zeta = np.random.default_rng(1).normal(size=(steps, paths, d, 2))
+        t_np = run(lambda xs, vs: exact_linear_block(1.0, h, dw, di, zeta, xs, vs), x, v)
+        print(f"{'exact_linear':16s} {steps:6d} {paths:6d} {d:2d} "
+              f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
 
 
 if __name__ == "__main__":

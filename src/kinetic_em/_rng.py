@@ -18,14 +18,18 @@ One word per normal means the word for step ``k``, dimension ``i``,
 component ``j`` of a sampled path sits at the fixed counter address
 ``2*(k*d + i) + j``.
 
-`normal_words` draws through one Philox bit generator per thread and re-keys
-it for every stream by assigning its whole state: key ``[seed, stream_id]``,
-counter zero and an empty output buffer.  That is exactly the state of a new
-``Philox(key=...)``, without the per-construction ``SeedSequence`` seeded
-from OS entropy.  The cell index is read straight off the raw word: a
-Generator double is ``(w >> 11) * 2**-53``, so ``floor(u * 2**52)`` is
-``w >> 12`` and no double rounding sits between the word and the normal.
-`make_generator` builds a full ``Generator`` on the same key; its only
+`normal_words` draws through one Philox-backed Generator per thread and
+re-keys it for every stream by assigning its whole state: key ``[seed,
+stream_id]``, counter zero and an empty output buffer.  That is exactly the
+state of a new ``Philox(key=...)``, without the per-construction
+``SeedSequence`` seeded from OS entropy.  The state is given as Python ints,
+which the setter reads faster than small arrays.  The draw then works in
+place in one float64 buffer, the caller's ``out`` row or a fresh one: a
+Generator double is ``u = (w >> 11) * 2**-53``, so ``floor(u * 2**52)`` is
+exactly the cell index ``w >> 12`` and no double rounding sits between the
+word and the normal.  Each NumPy call releases the GIL, so the fewer calls
+and temporaries per stream, the less two sampling threads hand it back and
+forth.  `make_generator` builds a full ``Generator`` on the same key; its only
 caller is the bootstrap resampling of strong-error runs.
 """
 
@@ -36,7 +40,7 @@ import threading
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 # Stream roles (bits 48..63 of the stream id).
 ROLE_SIMULATE = 1
@@ -84,24 +88,34 @@ def make_generator(seed: int, stream_id: int) -> np.random.Generator:
 _local = threading.local()
 
 
-def normal_words(seed: int, stream_id: int, count: int) -> np.ndarray:
-    """Draw `count` standard normals, one 64-bit Philox word per value."""
-    bitgen = getattr(_local, "philox", None)
-    if bitgen is None:
-        bitgen = _local.philox = np.random.Philox(0)
-    bitgen.state = {
+def normal_words(seed: int, stream_id: int, count: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Draw `count` standard normals, one 64-bit Philox word per value.
+
+    They are written into `out`, a C-contiguous float64 array of shape
+    (count,), when given, else into a new array; either is returned.
+    """
+    if out is None:
+        out = np.empty(count)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (count,) and out.flags.c_contiguous and out.flags.writeable):
+        raise DomainError(f"out must be a writable C-contiguous float64 array of shape "
+                          f"({count},), got {type(out).__name__} of shape {np.shape(out)}")
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, stream_id], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": [seed, stream_id]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    words = bitgen.random_raw(count)
-    words >>= 12
-    # Cell midpoints (k + 1/2) / 2**52 are exact in binary64 and symmetric.
-    out = words.astype(np.float64)
+    gen.random(out=out)
+    # Cell midpoints (k + 1/2) / 2**52, k = w >> 12, are exact in binary64 and symmetric.
+    out *= 2.0**52
+    np.floor(out, out=out)
     out += 0.5
     out *= 2.0**-52
     return ndtri(out, out=out)

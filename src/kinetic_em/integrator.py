@@ -191,7 +191,11 @@ def step_block(
 
         def step(k):
             b, a = _shifted_drift_integrals(md, x, v, rule)
-            return ((x + h * v) + a) + dI[k], (v + b) + dW[k]
+            np.add(x, h * v, out=x)
+            np.add(x, a, out=x)
+            np.add(x, dI[k], out=x)
+            np.add(v, b, out=v)
+            np.add(v, dW[k], out=v)
 
         march(step, dW.shape[0], x, v, x_rec, v_rec, record_stride)
     return (x_rec, v_rec) if record_stride else None
@@ -320,7 +324,10 @@ def exact_linear_block(
         + lmat[1, 0] * zeta[..., 0] + lmat[1, 1] * zeta[..., 1]
 
     def step(k):
-        return (x + c1 * v) + nx[k], a * v + nv[k]
+        np.add(x, c1 * v, out=x)
+        np.add(x, nx[k], out=x)
+        np.multiply(v, a, out=v)
+        np.add(v, nv[k], out=v)
 
     march(step, dW.shape[0], x, v, x_rec, v_rec, record_stride)
     return (x_rec, v_rec) if record_stride else None

@@ -130,8 +130,9 @@ def _normal_tiles(seed: int, stream_ids, steps: int, d: int):
     """Yield (lo, hi, xi): unit normals of streams lo..hi-1 shaped (steps, hi - lo, d, 2).
 
     Stream j draws its own 2 * steps * d words, at the same counter addresses
-    as sample_path, with one normal_words call; `xi` is a transposed view of
-    the tile's stream-major rows, valid until the next tile is drawn.
+    as sample_path, with one normal_words call that fills its row of the tile
+    in place; `xi` is a transposed view of the tile's stream-major rows, valid
+    until the next tile is drawn.
     """
     words = 2 * steps * d
     m = len(stream_ids)
@@ -140,7 +141,7 @@ def _normal_tiles(seed: int, stream_ids, steps: int, d: int):
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         for r in range(hi - lo):
-            tile[r] = normal_words(seed, int(stream_ids[lo + r]), words)
+            normal_words(seed, int(stream_ids[lo + r]), words, out=tile[r])
         yield lo, hi, tile[: hi - lo].reshape(hi - lo, steps, d, 2).transpose(1, 0, 2, 3)
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy
 
-from kinetic_em import backend_name
+from kinetic_em import backend_name, cli
 from kinetic_em.cli import config_hash, effective_config, load_config, main
-from kinetic_em.errors import ConfigError
+from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.paths import GridSpec, prefix_integrals, sample_path
 from kinetic_em._rng import ROLE_SIMULATE, stream_key
 
@@ -92,11 +92,15 @@ def test_simulate_zero_drift_matches_free_flow(tmp_path):
     assert manifest["subcommand"] == "simulate"
     assert manifest["passed"] is True
     assert set(manifest["outputs"]) == {"path_0000.csv"}
-    assert manifest["telemetry"] == {
+    telemetry = manifest["telemetry"]
+    assert telemetry == {
         "backend": backend_name(),
         "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                      "mpmath": mpmath.__version__},
+        "threads": 1,
+        "peak_rss_mb": telemetry["peak_rss_mb"],
     }
+    assert isinstance(telemetry["peak_rss_mb"], float) and telemetry["peak_rss_mb"] > 0
     assert "telemetry" not in manifest["config"]
 
 
@@ -231,6 +235,28 @@ def test_thread_count_does_not_change_outputs(tmp_path):
     m8 = _manifest(_run_dir(out8, "strong-rate"))
     assert m1["outputs"] == m8["outputs"]
     assert m1["config_hash"] == m8["config_hash"]
+    assert (m1["telemetry"]["threads"], m8["telemetry"]["threads"]) == (1, 8)
+
+
+def test_simulate_failing_midway_leaves_no_output_directory(tmp_path, monkeypatch):
+    # with a batch of one byte simulate writes each path as it is computed; a
+    # later path's failure must remove the files and directories already made
+    monkeypatch.setattr(cli, "_WRITE_BATCH_BYTES", 1)
+    calls = []
+    integrate = cli.integrate
+
+    def integrate_until_third(scheme, md, path):
+        calls.append(path.stream_id)
+        if len(calls) == 3:
+            raise DomainError("path 2 left the table")
+        return integrate(scheme, md, path)
+
+    monkeypatch.setattr(cli, "integrate", integrate_until_third)
+    cfg = _write(tmp_path / "cfg.ini", "[simulate]\npaths = 5\n")
+    out = tmp_path / "runs" / "nested"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == [stream_key(ROLE_SIMULATE, j) for j in range(3)]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unknown_config_key_exits_two(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import shlex
@@ -41,6 +42,7 @@ from kinetic_em.paths import (
     prefix_integrals,
     sample_increment_block,
     sample_path,
+    stream_normals,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -174,6 +176,74 @@ def test_numpy_scalar_and_vectorized_routes_agree(monkeypatch):
                                               kind, params, stride))
                 for a, b in zip(*outs):
                     assert np.array_equal(a, b), (m, d, kind, stride)
+
+
+def _sha256(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# Digests of end and recorded states over strides 0, 1 and 4, taken from a
+# vectorized route and an exact OU loop that allocated new states every step.
+_STEP_GOLDEN = {
+    _steppers.KIND_ZERO: "67fb5d713f2421d34cd85d42751d5ef47bdaa3b65e53e1537446b185ebd8fab2",
+    _steppers.KIND_CONSTANT: "a45211f604bdc36683b4d0ec3a9229d2c4bef69075744174fe27856774d0d240",
+    _steppers.KIND_LINEAR_FRICTION:
+        "9a5edd1f682d9b33fd2374f43fb9227b87b23cc1ae75776d8af7f533110a2886",
+    _steppers.KIND_SIGN_VELOCITY:
+        "57c126d3e004981525232475c649c20c20eb4eb348a90bb87684f8385fb6e804",
+}
+_EXACT_LINEAR_GOLDEN = "bc58687167f861b42ff8a9ed8b3cb7518808fb44b76808d010cf7446e8496fa0"
+
+
+def test_vectorized_route_golden_digests():
+    g = GridSpec(n=32, d=3)
+    dw, di = sample_increment_block(g, 20260814, range(8))
+    assert 8 * g.d > _numpy.SCALAR_ELEMENTS
+    for kind, params in _closed_form_cases(g.d):
+        outs = []
+        for stride in (0, 1, 4):
+            outs += _step_outputs(_numpy.step_closed_form, dw, di, g.h, kind, params, stride)
+        assert _sha256(outs) == _STEP_GOLDEN[kind], kind
+
+
+def test_exact_linear_block_golden_digest():
+    g = GridSpec(n=32, d=2)
+    dw, di = sample_increment_block(g, 20260814, range(8))
+    zeta = stream_normals(20260814, range(8), g.num_steps, g.d)
+    outs = []
+    for stride in (0, 1, 4):
+        x = np.zeros((8, 2))
+        v = np.linspace(-1.5, 1.5, 16).reshape(8, 2)
+        rec = exact_linear_block(1.0, g.h, dw, di, zeta, x, v, record_stride=stride)
+        outs += [x, v] + (list(rec) if stride else [])
+    assert _sha256(outs) == _EXACT_LINEAR_GOLDEN
+
+
+def test_vectorized_route_keeps_signed_zeros(monkeypatch):
+    # -0.0 + h*0.0 is +0.0, so an update that adds a zero drift term flips it
+    g = GridSpec(n=16, d=3)
+    m = 4
+    dw, di = sample_increment_block(g, 5, range(m))
+    dw[:, 0, 0] = -0.0
+    di[:, 0, 0] = -0.0
+    dw[::3, 2, 1] = -0.0
+    for kind, params in _closed_form_cases(g.d):
+        for stride in (0, 4):
+            outs = []
+            for limit in (m * g.d, m * g.d - 1):  # scalar route, then vectorized
+                monkeypatch.setattr(_numpy, "SCALAR_ELEMENTS", limit)
+                x = np.zeros((m, g.d))
+                x[0, 0] = -0.0
+                v = np.linspace(-1.5, 1.5, m * g.d).reshape(m, g.d)
+                v[0, 0] = -0.0
+                x_rec, v_rec = _numpy.record_buffers(dw, stride)
+                _numpy.step_closed_form(dw, di, x, v, g.h, kind, params, x_rec, v_rec, stride)
+                outs.append([a.tobytes() for a in [x, v] + ([x_rec, v_rec] if stride else [])])
+            assert outs[0] == outs[1], (kind, stride)
+    assert np.signbit(v[0, 0])
 
 
 def _guard_case(**bad):

@@ -1,10 +1,19 @@
+import hashlib
 import sys
 import threading
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
-from kinetic_em._rng import ROLE_STRONG, make_generator, normal_words, stream_key
+from kinetic_em._rng import (
+    ROLE_STRONG,
+    ROLE_WEAK_LEVEL,
+    make_generator,
+    normal_words,
+    stream_key,
+)
+from kinetic_em.errors import DomainError
 
 
 def _reference_normals(seed, sid, count):
@@ -55,3 +64,47 @@ def test_normal_words_same_bits_from_concurrent_threads():
         sys.setswitchinterval(interval)
     assert draws == [5 * len(ids)] * threads
     assert mismatches == [0] * threads
+
+
+_KEYS = {
+    "zero": (0, 0),
+    "max": (2**64 - 1, 2**64 - 1),
+    "weak-level": (20260814, stream_key(ROLE_WEAK_LEVEL, 12345, level=3)),
+}
+
+# sha256 of the float64 bytes, taken from a sampler that drew raw Philox
+# words and mapped them to normals in freshly allocated arrays.
+_GOLDEN = {
+    ("zero", 1): "44706407d64754709e12eb8127539d92f0ac7dd4a6c68e3d1217a907b4a95e44",
+    ("zero", 7): "52def6ce6ec1bcac874ba070b2b460517e9b85798956df4ea92572d533b9d5f9",
+    ("zero", 2051): "61aee05f0ba986e03cad757adb82ad21243e8710fdb7fe5f6f113e4ba6a69fde",
+    ("max", 1): "2bfb6e19610f45e2f4024edc2225829dce47205f6b045dd0a3258e1110cebc08",
+    ("max", 7): "bce9629db6cc88a14e0a9d726439214e5eb7a1ad04b0ab164d8a9bcdf795dd05",
+    ("max", 2051): "ac3a94a399c92add3b95cd3f8965a347327b43f98958e77a7efb866ed2a0cc74",
+    ("weak-level", 1): "2089c083d2508fde0ae3c813aa0734cfab45a9e9ee3472097c326bc965f41390",
+    ("weak-level", 7): "0bde97094784c436f2f384e5e2eb8a6500fa8ea67e01f337fd0ccec663ee6677",
+    ("weak-level", 2051): "46f593e20e79e8f396350e9fdadf468565b7ef14cf15783cd1575423147d1373",
+}
+
+
+@pytest.mark.parametrize("key, count", sorted(_GOLDEN))
+def test_normal_words_golden_digests(key, count):
+    seed, sid = _KEYS[key]
+    drawn = normal_words(seed, sid, count)
+    assert hashlib.sha256(drawn.astype("<f8").tobytes()).hexdigest() == _GOLDEN[key, count]
+    row = np.full(count, np.nan)
+    assert normal_words(seed, sid, count, out=row) is row
+    assert row.tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("out", [
+    pytest.param(np.empty(6), id="short"),
+    pytest.param(np.empty(8), id="long"),
+    pytest.param(np.empty(14)[::2], id="strided"),
+    pytest.param(np.empty((7, 2))[:, 0], id="column"),
+    pytest.param(np.empty(7, dtype=np.float32), id="float32"),
+    pytest.param(np.empty((1, 7)), id="2-d"),
+])
+def test_normal_words_rejects_bad_out(out):
+    with pytest.raises(DomainError, match="out"):
+        normal_words(1, 2, 7, out=out)
