@@ -33,11 +33,9 @@ from .errors import (
     KineticEmError,
 )
 from .integrator import (
-    SchemeConfig,
     Trajectory,
     exact_linear_solve,
     integrate,
-    substep_integrals,
     trajectory_to_csv,
 )
 from .kernel import (
@@ -83,7 +81,6 @@ __all__ = [
     "MollifiedDrift",
     "PhaseState",
     "RateReport",
-    "SchemeConfig",
     "TabulatedField",
     "TestFunctionSet",
     "Trajectory",
@@ -109,7 +106,6 @@ __all__ = [
     "save_tabulated",
     "sign_velocity",
     "strong_error",
-    "substep_integrals",
     "tabulated_drift",
     "taming_demo",
     "trajectory_to_csv",

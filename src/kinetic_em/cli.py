@@ -34,7 +34,7 @@ from ._rng import ROLE_SIMULATE, stream_key
 from ._steppers import backend_name
 from .drifts import drift_from_name, mollify
 from .errors import ConfigError, KineticEmError
-from .integrator import SchemeConfig, integrate, trajectory_to_csv
+from .integrator import integrate, trajectory_to_csv
 from .kernel import (
     MixedExponent,
     PhaseState,
@@ -139,7 +139,6 @@ _CONFIG_SPEC = {
         "initial_x": (_as_float_list, None),
         "initial_v": (_as_float_list, None),
         "quad_order": (_as_int, 8),
-        "chunk": (_as_int, 256),
         "bootstrap": (_as_int, 200),
         "min_slope": (_as_float, None),
         "max_slope_se": (_as_float, None),
@@ -157,7 +156,6 @@ _CONFIG_SPEC = {
         "initial_x": (_as_float_list, None),
         "initial_v": (_as_float_list, None),
         "quad_order": (_as_int, 8),
-        "chunk": (_as_int, 512),
         "min_slope": (_as_float, None),
         "max_slope_se": (_as_float, None),
         "max_null_sigma": (_as_float, None),
@@ -188,7 +186,6 @@ _CONFIG_SPEC = {
         "initial_x": (_as_float_list, None),
         "initial_v": (_as_float_list, None),
         "quad_order": (_as_int, 8),
-        "chunk": (_as_int, 4096),
         "radius_sds": (_as_float, 4.0),
     },
 }
@@ -319,8 +316,7 @@ def cmd_simulate(cfg: dict, threads: int):
     n, d, horizon = cfg["n"], cfg["d"], cfg["horizon"]
     grid = GridSpec(n=n, horizon=horizon, d=d)
     md = mollify(drift, n, cfg["theta"], d=d)
-    scheme = SchemeConfig(grid=grid, quad_order=cfg["quad_order"],
-                          initial=_initial_from_config(cfg))
+    initial = _initial_from_config(cfg)
     sample_at = cfg.get("sample_at")
     if sample_at is not None and (sample_at < n or sample_at % n):
         raise ConfigError(f"sample_at={sample_at} must be a multiple of n={n}")
@@ -336,7 +332,7 @@ def cmd_simulate(cfg: dict, threads: int):
                 fine = sample_path(GridSpec(n=sample_at, horizon=horizon, d=d),
                                    cfg["seed"], stream)
                 path = coarsen(fine, sample_at // n)
-            traj = integrate(scheme, md, path)
+            traj = integrate(md, path, initial, cfg["quad_order"])
             buf = io.StringIO()
             trajectory_to_csv(traj, buf)
             yield f"path_{j:04d}.csv", buf.getvalue()
@@ -352,7 +348,7 @@ def cmd_strong_rate(cfg: dict, threads: int):
         samples=cfg["samples"], seed=cfg["seed"], d=cfg["d"],
         horizon=cfg["horizon"], reference=cfg["reference"],
         initial=_initial_from_config(cfg), quad_order=cfg["quad_order"],
-        threads=threads, chunk=cfg["chunk"], bootstrap=cfg["bootstrap"],
+        threads=threads, bootstrap=cfg["bootstrap"],
     )
     buf = io.StringIO()
     rate_report_to_csv(report, buf)
@@ -367,7 +363,7 @@ def cmd_weak_rate(cfg: dict, threads: int):
         fset=default_test_functions(cfg["d"]), t_eval=cfg["t_eval"],
         samples=cfg["samples"], seed=cfg["seed"], ref_samples=cfg["ref_samples"],
         d=cfg["d"], horizon=cfg["horizon"], initial=_initial_from_config(cfg),
-        quad_order=cfg["quad_order"], threads=threads, chunk=cfg["chunk"],
+        quad_order=cfg["quad_order"], threads=threads,
     )
     outputs = {}
     for idx, report in enumerate(result.reports):
@@ -474,7 +470,7 @@ def cmd_tv_proxy(cfg: dict, threads: int):
         drift, cfg["theta"], cfg["n"], cfg["n_ref"], t=cfg["t"], bins=cfg["bins"],
         samples=cfg["samples"], seed=cfg["seed"], d=cfg["d"],
         initial=_initial_from_config(cfg), quad_order=cfg["quad_order"],
-        threads=threads, chunk=cfg["chunk"], radius_sds=cfg["radius_sds"],
+        threads=threads, radius_sds=cfg["radius_sds"],
     )
     buf = io.StringIO()
     buf.write("n,n_ref,t,bins,estimate,diagnostic_2x,noise_floor\n")
@@ -508,7 +504,8 @@ def _parse_args(argv):
     parser.add_argument("--config", help="INI config file ([common] + subcommand sections)")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (overrides config and KINETIC_EM_THREADS)")
+                        help="worker threads (overrides config; default 1); "
+                             "outputs do not depend on it")
     parser.add_argument("--out", help="output root directory (default: runs)")
     return parser.parse_args(argv)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import ClassVar, TextIO
 
 import numpy as np
 from scipy.special import erf
@@ -210,14 +210,14 @@ class MollifiedDrift:
     base: DriftSpec
     n: int
     theta: float
-    quad_points: int = 64
+    # Gauss-Hermite nodes per axis for the kinds without a closed form.
+    quad_points: ClassVar[int] = 64
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ConfigError(f"mollification resolution must be a positive integer, got {self.n}")
         if not (self.theta > 0 and math.isfinite(self.theta)):
             raise ConfigError(f"taming exponent must be positive and finite, got {self.theta}")
-        object.__setattr__(self, "quad_points", _check_order("quad_points", self.quad_points, 2))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "theta", float(self.theta))
 
@@ -250,10 +250,9 @@ def admissibility_bound(drift: DriftSpec, d: int) -> float | None:
     return 1.0 / (2.0 * dot)
 
 
-def mollify(drift: DriftSpec, n: int, theta: float, d: int = 1,
-            quad_points: int = 64) -> MollifiedDrift:
+def mollify(drift: DriftSpec, n: int, theta: float, d: int = 1) -> MollifiedDrift:
     """Build the mollified drift; rejects theta above the labeled admissibility bound."""
-    md = MollifiedDrift(base=drift, n=n, theta=theta, quad_points=quad_points)
+    md = MollifiedDrift(base=drift, n=n, theta=theta)
     bound = admissibility_bound(drift, d)
     if bound is not None and theta >= bound:
         raise ConfigError(

@@ -39,13 +39,10 @@ from .drifts import (
 )
 from .errors import ConfigError, DomainError
 from .kernel import KernelCovariance, PhaseState, as_phase_state
-from .paths import AugmentedPath, GridSpec
+from .paths import AugmentedPath
 
 __all__ = [
-    "SchemeConfig",
     "Trajectory",
-    "SubstepIntegrals",
-    "substep_integrals",
     "integrate",
     "step_block",
     "exact_linear_solve",
@@ -55,23 +52,6 @@ __all__ = [
 ]
 
 Initial = PhaseState | tuple
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Scheme parameters: grid level, sub-step quadrature, initial state.
-
-    The taming exponent belongs to the mollified drift the scheme steps with.
-
-    `initial` is a PhaseState or an (x, v) pair; None means the origin.
-    """
-
-    grid: GridSpec
-    quad_order: int = 8
-    initial: Initial | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "quad_order", _check_order("quad_order", self.quad_order, 1))
 
 
 @dataclass(frozen=True)
@@ -103,46 +83,28 @@ class Trajectory:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class SubstepIntegrals:
-    """Drift integrals over one step: B (velocity update) and A (iterated, position update)."""
-
-    B: np.ndarray
-    A: np.ndarray
-
-
 def _legendre_rule(h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, h] with the weights for B and for A.
 
     The B weights sum to h; the A weights are the B weights times (h - node).
     """
-    y, w = np.polynomial.legendre.leggauss(_check_order("quad_order", order, 1))
+    y, w = np.polynomial.legendre.leggauss(order)
     nodes, weights = (y + 1.0) * (0.5 * h), w * (0.5 * h)
     return nodes, weights, weights * (h - nodes)
 
 
 def _shifted_drift_integrals(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
                              rule) -> tuple[np.ndarray, np.ndarray]:
-    """B and A for every state of x, v shaped (..., d), by a _legendre_rule."""
-    nodes, w_b, w_a = rule
-    shifted = x + nodes.reshape((-1,) + (1,) * v.ndim) * v
-    vals = mollify_evaluate_arrays(md, shifted, np.broadcast_to(v, shifted.shape))
-    return np.tensordot(w_b, vals, axes=1), np.tensordot(w_a, vals, axes=1)
-
-
-def substep_integrals(md: MollifiedDrift, z, h: float, quad_order: int = 8) -> SubstepIntegrals:
-    """Quadrature of the shifted drift over one step from the frozen state z.
+    """B and A for every state of x, v shaped (..., d), by a _legendre_rule.
 
     B integrates s -> b_n(x + s v, v) over [0, h]; A integrates the same
     values against the weight (h - s), the order-exchanged form of the
     iterated integral.
     """
-    if not h > 0:
-        raise DomainError(f"step size must be positive, got {h}")
-    rule = _legendre_rule(h, quad_order)
-    zz = as_phase_state(z)
-    b, a = _shifted_drift_integrals(md, zz.x[None, :], zz.v[None, :], rule)
-    return SubstepIntegrals(B=b[0], A=a[0])
+    nodes, w_b, w_a = rule
+    shifted = x + nodes.reshape((-1,) + (1,) * v.ndim) * v
+    vals = mollify_evaluate_arrays(md, shifted, np.broadcast_to(v, shifted.shape))
+    return np.tensordot(w_b, vals, axes=1), np.tensordot(w_a, vals, axes=1)
 
 
 def closed_form_code(md: MollifiedDrift, d: int) -> tuple[int, np.ndarray] | None:
@@ -176,9 +138,11 @@ def step_block(
     pair of arrays (steps//s, M, d) is returned.
 
     Closed-form drift kinds run in the selected stepping backend; kinds that
-    need quadrature take the generic NumPy route with Gauss-Legendre in the
-    shift variable.
+    need quadrature take the generic NumPy route with `quad_order`
+    Gauss-Legendre nodes in the shift variable.  `quad_order` must be an
+    integer >= 1 for every kind, so a bad value fails whichever route runs.
     """
+    quad_order = _check_order("quad_order", quad_order, 1)
     x_rec, v_rec = record_buffers(dW, record_stride)
     code = closed_form_code(md, dW.shape[2])
     if code is not None:
@@ -232,17 +196,18 @@ def _run_path(path: AugmentedPath, initial: Initial | None, block, **provenance)
     )
 
 
-def integrate(config: SchemeConfig, md: MollifiedDrift, path: AugmentedPath) -> Trajectory:
-    """Run the scheme over one augmented path; states at every grid point."""
-    if config.grid != path.grid:
-        raise ConfigError(
-            f"scheme grid {config.grid} does not match path grid {path.grid}"
-        )
-    h, q = config.grid.h, config.quad_order
+def integrate(md: MollifiedDrift, path: AugmentedPath, initial: Initial | None = None,
+              quad_order: int = 8) -> Trajectory:
+    """Run the scheme over one augmented path on its grid; states at every grid point.
+
+    `initial` is a PhaseState or an (x, v) pair; None means the origin.  The
+    taming exponent and the mollification level belong to `md`.
+    """
+    h = path.grid.h
     return _run_path(
-        path, config.initial,
-        lambda dw, di, x, v: step_block(md, h, dw, di, x, v, q, record_stride=1),
-        drift=md.base.drift_id, theta=md.theta, quad_order=q, mollification_n=md.n,
+        path, initial,
+        lambda dw, di, x, v: step_block(md, h, dw, di, x, v, quad_order, record_stride=1),
+        drift=md.base.drift_id, theta=md.theta, quad_order=quad_order, mollification_n=md.n,
     )
 
 

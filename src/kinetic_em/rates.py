@@ -3,15 +3,17 @@
 Monte Carlo runs are sample-parallel: every sample owns a counter-based
 stream keyed by its global index, per-sample statistics are written into
 arrays indexed the same way, and all reductions happen single-threaded
-afterwards.  Reports are therefore bitwise reproducible for a given
-(config, seed) no matter how many worker threads or what chunk size the
-caller picks.
+afterwards.  `strong_error`, `weak_error` and `tv_proxy` share one chunk
+loop, `_run_streams`, which samples a fixed-size chunk of streams at a time
+and hands it to the experiment's work function, on a thread pool when more
+than one thread is asked for.  Reports are therefore bitwise reproducible
+for a given (config, seed) whatever the thread count; the chunk sizes are
+module constants, and the results do not depend on them either.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from ._rng import (
     normal_words,
     stream_key,
 )
-from .drifts import DriftSpec, mollify
+from .drifts import DriftSpec, MollifiedDrift, mollify
 from .errors import ConfigError, ConfigWarning, DomainError, KineticEmError
 from .integrator import exact_linear_block, resolve_initial, step_block
 from .kernel import kernel_pair
@@ -53,45 +55,42 @@ _LOG2E_LN = math.log(2.0)
 _BOOTSTRAP_INDICES = 1 << 20
 
 
+# Streams sampled and stepped per chunk; any size gives the same bits.
+_STRONG_CHUNK = 256
+_WEAK_CHUNK = 512
+_TV_CHUNK = 4096
+
+
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker thread count; None falls back to KINETIC_EM_THREADS, then 1."""
-    if threads is None:
-        raw = os.environ.get("KINETIC_EM_THREADS", "").strip()
-        if raw:
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"KINETIC_EM_THREADS must be an integer, got {raw!r}"
-                ) from None
-        else:
-            threads = 1
-    threads = int(threads)
+    """Worker thread count; None means 1."""
+    threads = 1 if threads is None else int(threads)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     return threads
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    if chunk < 1:
-        raise ConfigError(f"chunk size must be >= 1, got {chunk}")
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def _run_streams(grid: GridSpec, seed: int, role: int, tag: int, count: int,
+                 chunk: int, threads: int, work) -> None:
+    """Sample streams (role, tag, s), s < count, chunk by chunk; call work(lo, hi, dw, di).
 
-
-def _run_chunks(ranges, threads: int, worker) -> None:
-    """Run worker(lo, hi) over index ranges, optionally on a thread pool.
-
-    Workers only write to disjoint slices of preallocated arrays, so the
-    execution order is irrelevant to the result.
+    Each chunk's increments are drawn once on `grid` and handed to `work`,
+    which writes only to rows lo..hi-1 of preallocated arrays, so the
+    chunks can run in any order: on a pool of `threads` workers when
+    threads > 1.
     """
-    if threads <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            worker(lo, hi)
+    def run(lo: int) -> None:
+        hi = min(lo + chunk, count)
+        streams = [stream_key(role, s, level=tag) for s in range(lo, hi)]
+        work(lo, hi, *sample_increment_block(grid, seed, streams))
+
+    starts = range(0, count, chunk)
+    if threads <= 1 or len(starts) <= 1:
+        for lo in starts:
+            run(lo)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        for fut in futures:
-            fut.result()
+        for _ in pool.map(run, starts):
+            pass
 
 
 def _check_finite(drift: DriftSpec, n: int, lo: int, x: np.ndarray, v: np.ndarray) -> None:
@@ -102,6 +101,21 @@ def _check_finite(drift: DriftSpec, n: int, lo: int, x: np.ndarray, v: np.ndarra
             f"drift {drift.drift_id} diverged at level n={n}: stream index "
             f"{lo + int(finite.argmin())} ends in a non-finite state"
         )
+
+
+def _scheme(drift: DriftSpec, md: MollifiedDrift, grid: GridSpec, quad_order: int,
+            x0: np.ndarray, v0: np.ndarray, lo: int, dw: np.ndarray, di: np.ndarray,
+            stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step a chunk's streams lo.. from (x0, v0) and check that they end finite.
+
+    Returns the states recorded after every `stride`-th step.
+    """
+    shape = dw.shape[1:]
+    x = np.broadcast_to(x0, shape).copy()
+    v = np.broadcast_to(v0, shape).copy()
+    recorded = step_block(md, grid.h, dw, di, x, v, quad_order, record_stride=stride)
+    _check_finite(drift, grid.n, lo, x, v)
+    return recorded
 
 
 def _check_levels(levels) -> tuple[int, ...]:
@@ -291,20 +305,6 @@ def default_test_functions(d: int = 1) -> TestFunctionSet:
     )
 
 
-def probe_sup_norm(fset: TestFunctionSet, d: int = 1, probes: int = 4096,
-                   radius: float = 6.0, seed: int = 0) -> float:
-    """Largest |f| over random probe points; checks the <= 1 bound."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-radius, radius, size=(probes, d))
-    v = rng.uniform(-radius, radius, size=(probes, d))
-    x[0] = 0.0
-    v[0] = 0.0
-    best = 0.0
-    for f in fset.funcs:
-        best = max(best, float(np.max(np.abs(np.asarray(f(x, v))))))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Strong error
 
@@ -338,7 +338,6 @@ def strong_error(
     initial=None,
     quad_order: int = 8,
     threads: int | None = 1,
-    chunk: int = 256,
     bootstrap: int = 200,
 ) -> RateReport:
     """Pathwise L^m error of the scheme against a reference on the same noise.
@@ -356,8 +355,8 @@ def strong_error(
     for n in levels:
         if n_ref % n:
             raise ConfigError(f"n_ref={n_ref} is not divisible by level n={n}")
-    if not m >= 1.0:
-        raise ConfigError(f"moment order must satisfy m >= 1, got {m}")
+    if not (m >= 1.0 and math.isfinite(m)):
+        raise ConfigError(f"moment order m must be finite and >= 1, got {m}")
     if drift.p_label is not None:
         m_max = min(drift.p_label) - 1.0
         if m > m_max:
@@ -395,39 +394,31 @@ def strong_error(
 
     errs = np.empty((samples, len(levels)))
 
-    def worker(lo: int, hi: int) -> None:
-        mc = hi - lo
-        streams = [stream_key(ROLE_STRONG, s) for s in range(lo, hi)]
-        dw, di = sample_increment_block(grid_ref, seed, streams)
-        x = np.broadcast_to(x0, (mc, d)).copy()
-        v = np.broadcast_to(v0, (mc, d)).copy()
+    def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> None:
         if reference == "exact":
+            x = np.broadcast_to(x0, (hi - lo, d)).copy()
+            v = np.broadcast_to(v0, (hi - lo, d)).copy()
             residuals = [stream_key(ROLE_OU_RESIDUAL, s) for s in range(lo, hi)]
             zeta = stream_normals(seed, residuals, k_ref, d)
             rx, rv = exact_linear_block(gamma, grid_ref.h, dw, di, zeta, x, v,
                                         record_stride=stride)
+            _check_finite(drift, n_ref, lo, x, v)
         else:
-            rx, rv = step_block(md_ref, grid_ref.h, dw, di, x, v, quad_order,
-                                record_stride=stride)
-        _check_finite(drift, n_ref, lo, x, v)
+            rx, rv = _scheme(drift, md_ref, grid_ref, quad_order, x0, v0, lo, dw, di, stride)
         for li, grid in enumerate(grids):
             factor = k_ref // grid.num_steps
             dwc, dic = coarsen_block(dw, di, factor, grid_ref.h)
             if lo == 0:
                 _assert_coupling(dw[:, :1], di[:, :1], dwc[:, :1], dic[:, :1],
                                  factor, grid_ref.h)
-            x = np.broadcast_to(x0, (mc, d)).copy()
-            v = np.broadcast_to(v0, (mc, d)).copy()
-            lx, lv = step_block(md_levels[li], grid.h, dwc, dic, x, v, quad_order,
-                                record_stride=1)
-            _check_finite(drift, grid.n, lo, x, v)
+            lx, lv = _scheme(drift, md_levels[li], grid, quad_order, x0, v0, lo, dwc, dic, 1)
             sel = selectors[li]
             dx = lx - rx[sel]
             dv = lv - rv[sel]
             dist = np.sqrt((dx * dx).sum(axis=2) + (dv * dv).sum(axis=2))
             errs[lo:hi, li] = dist.max(axis=0)
 
-    _run_chunks(_chunk_ranges(samples, chunk), threads, worker)
+    _run_streams(grid_ref, seed, ROLE_STRONG, 0, samples, _STRONG_CHUNK, threads, work)
 
     estimates = []
     ses = []
@@ -526,7 +517,6 @@ def weak_error(
     initial=None,
     quad_order: int = 8,
     threads: int | None = 1,
-    chunk: int = 512,
 ) -> WeakErrorReport:
     """Law-level error |E f(Z_ref_t) - E f(Z_n_t)| over test functions.
 
@@ -549,8 +539,10 @@ def weak_error(
     if ref_samples < 100:
         raise ConfigError(f"insufficient reference samples, got {ref_samples}")
     t_eval = tuple(float(t) for t in t_eval)
+    if not all(math.isfinite(t) for t in t_eval):
+        raise ConfigError(f"evaluation times t_eval must be finite, got {t_eval}")
     if not t_eval or any(b <= a for a, b in zip(t_eval, t_eval[1:])):
-        raise ConfigError(f"evaluation times must be strictly increasing, got {t_eval}")
+        raise ConfigError(f"evaluation times t_eval must be strictly increasing, got {t_eval}")
     if fset is None:
         fset = default_test_functions(d)
     threads = resolve_threads(threads)
@@ -567,22 +559,15 @@ def weak_error(
     def run(md, grid, ks, role, tag, count, out):
         stride = math.gcd(*ks)
 
-        def worker(lo: int, hi: int) -> None:
-            mc = hi - lo
-            streams = [stream_key(role, s, level=tag) for s in range(lo, hi)]
-            dw, di = sample_increment_block(grid, seed, streams)
-            x = np.broadcast_to(x0, (mc, d)).copy()
-            v = np.broadcast_to(v0, (mc, d)).copy()
-            rec_x, rec_v = step_block(md, grid.h, dw, di, x, v, quad_order,
-                                      record_stride=stride)
-            _check_finite(drift, grid.n, lo, x, v)
+        def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> None:
+            rec_x, rec_v = _scheme(drift, md, grid, quad_order, x0, v0, lo, dw, di, stride)
             for ti, k in enumerate(ks):
                 slot = k // stride - 1
                 xs, vs = rec_x[slot], rec_v[slot]
                 for fi, f in enumerate(fset.funcs):
                     out[lo:hi, ti, fi] = f(xs, vs)
 
-        _run_chunks(_chunk_ranges(count, chunk), threads, worker)
+        _run_streams(grid, seed, role, tag, count, _WEAK_CHUNK, threads, work)
 
     vals_ref = np.empty((ref_samples, n_t, n_f))
     run(md_ref, grid_ref, ks_ref, ROLE_WEAK_REF, 0, ref_samples, vals_ref)
@@ -795,7 +780,6 @@ def tv_proxy(
     initial=None,
     quad_order: int = 8,
     threads: int | None = 1,
-    chunk: int = 4096,
     radius_sds: float = 4.0,
 ) -> TvProxyReport:
     """Biased total variation estimate between the laws at n and n_ref.
@@ -830,18 +814,13 @@ def tv_proxy(
         fx = np.empty(samples)
         fv = np.empty(samples)
 
-        def worker(lo: int, hi: int, grid=grid, md=md, tag=tag, fx=fx, fv=fv) -> None:
-            mc = hi - lo
-            streams = [stream_key(ROLE_TV, s, level=tag) for s in range(lo, hi)]
-            dw, di = sample_increment_block(grid, seed, streams)
-            x = np.broadcast_to(x0, (mc, d)).copy()
-            v = np.broadcast_to(v0, (mc, d)).copy()
-            step_block(md, grid.h, dw, di, x, v, quad_order)
-            _check_finite(drift, grid.n, lo, x, v)
-            fx[lo:hi] = x[:, 0]
-            fv[lo:hi] = v[:, 0]
+        def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> None:
+            # recording after the last step only keeps the final state
+            rx, rv = _scheme(drift, md, grid, quad_order, x0, v0, lo, dw, di, grid.num_steps)
+            fx[lo:hi] = rx[-1, :, 0]
+            fv[lo:hi] = rv[-1, :, 0]
 
-        _run_chunks(_chunk_ranges(samples, chunk), threads, worker)
+        _run_streams(grid, seed, ROLE_TV, tag, samples, _TV_CHUNK, threads, work)
         finals[tag] = (fx, fv)
 
     pool_x = np.concatenate([finals[0][0], finals[1][0]])

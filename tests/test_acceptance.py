@@ -19,7 +19,7 @@ from kinetic_em.drifts import (
     sign_velocity,
     zero_drift,
 )
-from kinetic_em.integrator import SchemeConfig, integrate
+from kinetic_em.integrator import integrate
 from kinetic_em.kernel import (
     MixedExponent,
     PhaseState,
@@ -53,7 +53,7 @@ def test_criterion_01_free_flow_is_exact():
             md = mollify(zero_drift(), n, 0.5, d=d)
             for j in range(100):
                 p = sample_path(g, MASTER_SEED, j)
-                traj = integrate(SchemeConfig(grid=g), md, p)
+                traj = integrate(md, p)
                 w, i = prefix_integrals(p.dW, p.dI, g.h)
                 worst = max(
                     worst,
@@ -72,7 +72,7 @@ def test_criterion_02_constant_drift_closed_form():
     worst = 0.0
     for j in range(100):
         p = sample_path(g, MASTER_SEED, j)
-        traj = integrate(SchemeConfig(grid=g), md, p)
+        traj = integrate(md, p)
         w, i = prefix_integrals(p.dW, p.dI, g.h)
         worst = max(
             worst,

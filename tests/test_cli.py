@@ -245,11 +245,11 @@ def test_simulate_failing_midway_leaves_no_output_directory(tmp_path, monkeypatc
     calls = []
     integrate = cli.integrate
 
-    def integrate_until_third(scheme, md, path):
+    def integrate_until_third(md, path, *args):
         calls.append(path.stream_id)
         if len(calls) == 3:
             raise DomainError("path 2 left the table")
-        return integrate(scheme, md, path)
+        return integrate(md, path, *args)
 
     monkeypatch.setattr(cli, "integrate", integrate_until_third)
     cfg = _write(tmp_path / "cfg.ini", "[simulate]\npaths = 5\n")
@@ -269,6 +269,9 @@ def test_missing_table_path_exits_two(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
 
+_SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
+
+
 @pytest.mark.parametrize("sub,section,flags,key", [
     pytest.param("simulate", "", ["--seed", "-1"], "seed", id="seed-negative"),
     pytest.param("simulate", "", ["--seed", str(2**64)], "seed", id="seed-2**64"),
@@ -282,6 +285,19 @@ def test_missing_table_path_exits_two(tmp_path):
     pytest.param("tv-proxy", "radius_sds = inf\n", [], "radius_sds", id="radius-inf"),
     pytest.param("kernel-check", "points = 1\n", [], "points", id="points-one"),
     pytest.param("kernel-check", "probes = 0\n", [], "probes", id="probes-zero"),
+    pytest.param("strong-rate", "m = inf\nlevels = 4, 8, 16\n", [], "m", id="m-inf"),
+    pytest.param("weak-rate", "t_eval = nan\n", [], "t_eval", id="t_eval-nan"),
+    pytest.param("weak-rate", "t_eval = inf\n", [], "t_eval", id="t_eval-inf"),
+    pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nquad_order = 0\n", [],
+                 "quad_order", id="quad-order-zero-strong"),
+    pytest.param("weak-rate", _SIGN_SMALL + "quad_order = 0\n", [], "quad_order",
+                 id="quad-order-zero-weak"),
+    pytest.param("tv-proxy", "drift = sign_velocity\nn = 4\nn_ref = 8\nbins = 8\n"
+                 "samples = 512\nquad_order = 0\n", [], "quad_order",
+                 id="quad-order-zero-tv"),
+    pytest.param("simulate", "quad_order = 0\n", [], "quad_order",
+                 id="quad-order-zero-simulate"),
+    pytest.param("strong-rate", "chunk = 64\n", [], "chunk", id="chunk-unknown"),
 ])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, key):
     cfg = _write(tmp_path / "cfg.ini", f"[{sub}]\n{section}")

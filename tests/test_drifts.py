@@ -6,6 +6,7 @@ import pytest
 
 from kinetic_em import drifts
 from kinetic_em.drifts import (
+    _check_order,
     DriftSpec,
     MollifiedDrift,
     TabulatedField,
@@ -181,13 +182,15 @@ def test_blocked_quadrature_keeps_extrapolation_error():
 
 
 def test_quadrature_orders_must_be_integers():
-    osc = oscillatory_singular()
-    for bad in (2.5, 1, 0, True, "64"):
-        with pytest.raises(ConfigError, match="quad_points"):
-            MollifiedDrift(osc, 8, 0.5, quad_points=bad)
-    with pytest.raises(ConfigError, match="quad_points"):
-        mollify(osc, 8, 0.5, quad_points=2.5)
-    assert MollifiedDrift(osc, 8, 0.5, quad_points=np.int64(16)).quad_points == 16
+    for bad in (2.5, 0, True, "8"):
+        with pytest.raises(ConfigError, match="quad_order"):
+            _check_order("quad_order", bad, 1)
+    assert _check_order("quad_order", np.int64(16), 1) == 16
+    # the Gauss-Hermite order is fixed, not a per-drift setting
+    md = mollify(oscillatory_singular(), 8, 0.5)
+    assert md.quad_points == MollifiedDrift.quad_points == 64
+    with pytest.raises(TypeError):
+        MollifiedDrift(oscillatory_singular(), 8, 0.5, quad_points=16)
 
 
 def test_admissibility_bound_and_rejection():

@@ -26,7 +26,8 @@ from kinetic_em.drifts import (
 )
 from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.integrator import (
-    SchemeConfig,
+    _legendre_rule,
+    _shifted_drift_integrals,
     closed_form_code,
     exact_linear_block,
     exact_linear_solve,
@@ -34,7 +35,6 @@ from kinetic_em.integrator import (
     ou_step_coefficients,
     resolve_initial,
     step_block,
-    substep_integrals,
     trajectory_to_csv,
 )
 from kinetic_em.paths import (
@@ -57,12 +57,12 @@ def test_substep_integrals_affine_analytic():
     vals = c0 + c1 * xs[:, None] + c2 * vs[None, :]
     md = mollify(tabulated_drift(TabulatedField(xs, vs, vals)), 16, 0.5)
     x, v, h = 0.3, 0.9, 1.0 / 16
-    out = substep_integrals(md, ([x], [v]), h)
+    b, a = _shifted_drift_integrals(md, np.array([[x]]), np.array([[v]]), _legendre_rule(h, 8))
     base = c0 + c1 * x + c2 * v
     b_expect = h * base + c1 * v * h**2 / 2
     a_expect = h**2 / 2 * base + c1 * v * h**3 / 6
-    assert out.B[0] == pytest.approx(b_expect, abs=1e-12)
-    assert out.A[0] == pytest.approx(a_expect, abs=1e-12)
+    assert b[0, 0] == pytest.approx(b_expect, abs=1e-12)
+    assert a[0, 0] == pytest.approx(a_expect, abs=1e-12)
 
 
 def test_substep_integrals_dense_oracle():
@@ -73,28 +73,36 @@ def test_substep_integrals_dense_oracle():
         md, x0[None, :] + s[:, None] * v0[None, :],
         np.broadcast_to(v0, (s.size, 1)).copy(),
     )[:, 0]
-    out = substep_integrals(md, (x0, v0), h)
-    assert abs(out.B[0] - np.trapezoid(vals, s)) <= 1e-4
-    assert abs(out.A[0] - np.trapezoid((h - s) * vals, s)) <= 1e-4
+    b, a = _shifted_drift_integrals(md, x0[None, :], v0[None, :], _legendre_rule(h, 8))
+    assert abs(b[0, 0] - np.trapezoid(vals, s)) <= 1e-4
+    assert abs(a[0, 0] - np.trapezoid((h - s) * vals, s)) <= 1e-4
 
 
 def test_substep_integrals_frozen_velocity_kinds_are_exact():
     # drifts that depend on v only are constant along the shifted sub-step
     md = mollify(sign_velocity(), 16, 0.5)
     h = 1.0 / 32
-    out = substep_integrals(md, ([0.0], [0.4]), h)
+    b, a = _shifted_drift_integrals(md, np.zeros((1, 1)), np.full((1, 1), 0.4),
+                                    _legendre_rule(h, 8))
     bval = mollify_evaluate_arrays(md, np.zeros((1, 1)), np.full((1, 1), 0.4))[0, 0]
-    assert out.B[0] == pytest.approx(h * bval, rel=1e-14)
-    assert out.A[0] == pytest.approx(h**2 / 2 * bval, rel=1e-14)
+    assert b[0, 0] == pytest.approx(h * bval, rel=1e-14)
+    assert a[0, 0] == pytest.approx(h**2 / 2 * bval, rel=1e-14)
 
 
-def test_substep_integrals_validation():
-    md = mollify(zero_drift(), 4, 0.5)
-    with pytest.raises(DomainError):
-        substep_integrals(md, ([0.0], [0.0]), 0.0)
-    for bad in (0, 2.5):
+@pytest.mark.parametrize("drift", [zero_drift(), sign_velocity(), oscillatory_singular()],
+                         ids=lambda drift: drift.kind)
+def test_quad_order_is_checked_for_every_drift_kind(drift):
+    # closed-form kinds never run the quadrature, yet a bad order still fails
+    md = mollify(drift, 4, 0.5)
+    g = GridSpec(n=4, horizon=1.0, d=1)
+    p = sample_path(g, 0, 0)
+    for bad in (0, 2.5, True, "8"):
         with pytest.raises(ConfigError, match="quad_order"):
-            substep_integrals(md, ([0.0], [0.0]), 0.5, quad_order=bad)
+            step_block(md, g.h, p.dW[:, None, :], p.dI[:, None, :],
+                       np.zeros((1, 1)), np.zeros((1, 1)), bad)
+        with pytest.raises(ConfigError, match="quad_order"):
+            integrate(md, p, quad_order=bad)
+    assert integrate(md, p, quad_order=np.int64(2)).provenance["quad_order"] == 2
 
 
 def test_closed_form_code_mapping():
@@ -288,16 +296,14 @@ def test_free_flow_reproduces_prefix_integrals():
     for n, d in ((4, 1), (16, 2)):
         g = GridSpec(n=n, horizon=1.0, d=d)
         p = sample_path(g, 3, 5)
-        traj = integrate(SchemeConfig(grid=g), mollify(zero_drift(), n, 0.5, d=d), p)
+        traj = integrate(mollify(zero_drift(), n, 0.5, d=d), p)
         w, i = prefix_integrals(p.dW, p.dI, g.h)
         t = g.times()[:, None]
         assert np.max(np.abs(traj.v - w)) <= 1e-11
         assert np.max(np.abs(traj.x - i)) <= 1e-11
         # nonzero start just translates the flow
         init = ([1.0] * d, [-0.5] * d)
-        traj2 = integrate(
-            SchemeConfig(grid=g, initial=init), mollify(zero_drift(), n, 0.5, d=d), p
-        )
+        traj2 = integrate(mollify(zero_drift(), n, 0.5, d=d), p, init)
         assert np.max(np.abs(traj2.v - (w - 0.5))) <= 1e-11
         assert np.max(np.abs(traj2.x - (i + 1.0 - 0.5 * t))) <= 1e-11
 
@@ -306,10 +312,7 @@ def test_constant_drift_closed_form():
     g = GridSpec(n=16, horizon=1.0, d=1)
     p = sample_path(g, 9, 2)
     c = 0.75
-    traj = integrate(
-        SchemeConfig(grid=g, initial=([0.2], [-0.4])),
-        mollify(constant_drift(c), 16, 0.5), p,
-    )
+    traj = integrate(mollify(constant_drift(c), 16, 0.5), p, ([0.2], [-0.4]))
     w, i = prefix_integrals(p.dW, p.dI, g.h)
     t = g.times()[:, None]
     assert np.max(np.abs(traj.v - (-0.4 + c * t + w))) <= 1e-10
@@ -363,7 +366,7 @@ def test_step_block_matches_integrate():
     g = GridSpec(n=16, horizon=1.0, d=1)
     p = sample_path(g, 13, 4)
     md = mollify(sign_velocity(), 16, 0.5)
-    traj = integrate(SchemeConfig(grid=g, initial=([0.0], [1.0])), md, p)
+    traj = integrate(md, p, ([0.0], [1.0]))
     x = np.zeros((1, 1))
     v = np.ones((1, 1))
     rec = step_block(md, g.h, p.dW[:, None, :], p.dI[:, None, :], x, v, record_stride=1)
@@ -379,12 +382,12 @@ def test_substep_integrals_match_one_step_block_step():
     h = 1.0 / 16
     x = np.array([[0.3, -1.1]])
     v = np.array([[0.9, 0.2]])
-    out = substep_integrals(md, (x[0], v[0]), h)
+    b, a = _shifted_drift_integrals(md, x, v, _legendre_rule(h, 8))
     zero = np.zeros((1, 1, 2))
     xs, vs = x.copy(), v.copy()
     step_block(md, h, zero, zero, xs, vs)
-    assert np.array_equal(xs[0], (x[0] + h * v[0]) + out.A)
-    assert np.array_equal(vs[0], v[0] + out.B)
+    assert np.array_equal(xs[0], (x[0] + h * v[0]) + a[0])
+    assert np.array_equal(vs[0], v[0] + b[0])
 
 
 @pytest.mark.parametrize("stepper", ["closed_form", "quadrature", "exact_linear"])
@@ -415,7 +418,7 @@ def test_record_stride_keeps_every_stride_th_state(stepper):
 def test_trajectory_csv_roundtrip():
     g = GridSpec(n=8, horizon=1.0, d=2)
     p = sample_path(g, 1, 1)
-    traj = integrate(SchemeConfig(grid=g), mollify(zero_drift(), 8, 0.5, d=2), p)
+    traj = integrate(mollify(zero_drift(), 8, 0.5, d=2), p)
     buf = io.StringIO()
     trajectory_to_csv(traj, buf)
     lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
@@ -443,20 +446,11 @@ def test_resolve_initial():
         resolve_initial((0.0, object()), 1)
 
 
-def test_scheme_config_validation():
-    g = GridSpec(n=8, horizon=1.0, d=1)
-    with pytest.raises(ConfigError):
-        SchemeConfig(grid=g, quad_order=0)
-
-
-def test_integrate_grid_mismatch_and_decoupled_mollification():
+def test_integrate_records_decoupled_mollification():
     g = GridSpec(n=8, horizon=1.0, d=1)
     p = sample_path(g, 0, 0)
-    other = GridSpec(n=16, horizon=1.0, d=1)
-    with pytest.raises(ConfigError):
-        integrate(SchemeConfig(grid=other), mollify(zero_drift(), 16, 0.5), p)
     # the mollification level is an independent knob; both are recorded
     md = mollify(sign_velocity(), 16, 0.5)
-    traj = integrate(SchemeConfig(grid=g), md, p)
+    traj = integrate(md, p)
     assert traj.provenance["n"] == 8
     assert traj.provenance["mollification_n"] == 16

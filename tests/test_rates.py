@@ -13,7 +13,6 @@ from kinetic_em.rates import (
     RateReport,
     default_test_functions,
     fit_rate,
-    probe_sup_norm,
     rate_report_summary,
     rate_report_to_csv,
     resolve_threads,
@@ -54,23 +53,21 @@ def test_fit_rate_noise_coverage():
     assert hits >= 97
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert resolve_threads(3) == 3
-    monkeypatch.delenv("KINETIC_EM_THREADS", raising=False)
     assert resolve_threads(None) == 1
-    monkeypatch.setenv("KINETIC_EM_THREADS", "6")
-    assert resolve_threads(None) == 6
     with pytest.raises(ConfigError):
         resolve_threads(0)
-    monkeypatch.setenv("KINETIC_EM_THREADS", "banana")
-    with pytest.raises(ConfigError):
-        resolve_threads(None)
 
 
 def test_default_test_functions_bounded():
     fset = default_test_functions(d=2)
     assert len(fset.names) == len(fset.funcs)
-    sup = probe_sup_norm(fset, d=2, probes=500, radius=50.0, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-50.0, 50.0, size=(500, 2))
+    v = rng.uniform(-50.0, 50.0, size=(500, 2))
+    x[0] = v[0] = 0.0
+    sup = max(float(np.max(np.abs(f(x, v)))) for f in fset.funcs)
     assert sup <= 1.0 + 1e-12
     with pytest.raises(ConfigError):
         FunctionSet(("a", "b"), (lambda x, v: x[:, 0],))
@@ -118,10 +115,12 @@ def test_strong_error_zero_drift_is_exact():
     assert rep.metadata["reference"] == "exact"
 
 
-def test_strong_error_thread_and_chunk_invariance():
+def test_strong_error_thread_and_chunk_invariance(monkeypatch):
     kwargs = dict(samples=120, seed=7)
-    a = strong_error(sign_velocity(), 0.5, (4, 8, 16), 32, threads=1, chunk=17, **kwargs)
-    b = strong_error(sign_velocity(), 0.5, (4, 8, 16), 32, threads=4, chunk=64, **kwargs)
+    monkeypatch.setattr(rates, "_STRONG_CHUNK", 17)
+    a = strong_error(sign_velocity(), 0.5, (4, 8, 16), 32, threads=1, **kwargs)
+    monkeypatch.setattr(rates, "_STRONG_CHUNK", 64)
+    b = strong_error(sign_velocity(), 0.5, (4, 8, 16), 32, threads=4, **kwargs)
     assert a.errors == b.errors
     assert a.errors_se == b.errors_se
     assert a.slope == b.slope
@@ -167,12 +166,13 @@ def test_non_finite_final_state_names_its_stream(monkeypatch, experiment):
         return out
 
     monkeypatch.setattr(rates, "step_block", poisoned)
+    for name in ("_STRONG_CHUNK", "_WEAK_CHUNK", "_TV_CHUNK"):
+        monkeypatch.setattr(rates, name, 40)
     s = sign_velocity()
     run = {
-        "strong": lambda: strong_error(s, 0.5, (8, 16), 32, samples=120, chunk=40, seed=3),
-        "weak": lambda: weak_error(s, 0.5, (8, 16), 32, samples=120, ref_samples=100,
-                                   chunk=40, seed=3),
-        "tv": lambda: tv_proxy(s, 0.5, 8, 32, bins=8, samples=512, chunk=40, seed=3),
+        "strong": lambda: strong_error(s, 0.5, (8, 16), 32, samples=120, seed=3),
+        "weak": lambda: weak_error(s, 0.5, (8, 16), 32, samples=120, ref_samples=100, seed=3),
+        "tv": lambda: tv_proxy(s, 0.5, 8, 32, bins=8, samples=512, seed=3),
     }[experiment]
     with pytest.raises(DomainError, match="sign_velocity.*n=8.*stream index 57"):
         run()
@@ -193,11 +193,11 @@ def test_weak_error_null_is_noise():
     assert max(sigmas) <= 2.0
 
 
-def test_weak_error_thread_and_chunk_invariance():
-    a = weak_error(sign_velocity(), 0.5, (8, 16), 32, samples=3000, seed=1,
-                   threads=1, chunk=100)
-    b = weak_error(sign_velocity(), 0.5, (8, 16), 32, samples=3000, seed=1,
-                   threads=3, chunk=512)
+def test_weak_error_thread_and_chunk_invariance(monkeypatch):
+    monkeypatch.setattr(rates, "_WEAK_CHUNK", 100)
+    a = weak_error(sign_velocity(), 0.5, (8, 16), 32, samples=3000, seed=1, threads=1)
+    monkeypatch.setattr(rates, "_WEAK_CHUNK", 512)
+    b = weak_error(sign_velocity(), 0.5, (8, 16), 32, samples=3000, seed=1, threads=3)
     for oa, ob in zip(a.observations, b.observations):
         assert oa.err == ob.err and oa.se == ob.se
     assert a.primary.errors == b.primary.errors
