@@ -5,7 +5,9 @@ Runs the closed-form stepping kernel of every backend in
 kind and reports throughput in path-steps per second.  The compiled backend is
 there once `python setup.py build_ext --inplace` has built it.  The
 `exact_linear` rows time `integrator.exact_linear_block`, the exact OU
-solution of strong-rate runs, which has only a NumPy implementation.
+solution of strong-rate runs, which has only a NumPy implementation.  The
+`coarsen_xF` rows time `paths.coarsen_block` aggregating a (4096, 256, 1)
+increment block by factor F, counted in fine path-steps per second.
 
 Usage: python3 benchmarks/bench_steppers.py [--quick]
 """
@@ -24,6 +26,7 @@ from kinetic_em.drifts import (
     zero_drift,
 )
 from kinetic_em.integrator import closed_form_code, exact_linear_block
+from kinetic_em.paths import coarsen_block
 
 # mollified at n=64, theta=0.25 (admissible up to d=3): erf scale 64^0.25/sqrt(2) = 2
 DRIFTS = {
@@ -99,6 +102,12 @@ def main() -> None:
         zeta = np.random.default_rng(1).normal(size=(steps, paths, d, 2))
         t_np = run(lambda xs, vs: exact_linear_block(1.0, h, dw, di, zeta, xs, vs), x, v)
         print(f"{'exact_linear':16s} {steps:6d} {paths:6d} {d:2d} "
+              f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
+    steps, paths, d = 4096, 256, 1
+    h, dw, di, x, v = workload(steps, paths, d)
+    for factor in (2, 4, 8, 16, 32, 64, 128, 256):
+        t_np = run(lambda xs, vs: coarsen_block(dw, di, factor, h), x, v)
+        print(f"{f'coarsen_x{factor}':16s} {steps:6d} {paths:6d} {d:2d} "
               f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
 
 

@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from ._rng import ROLE_SIMULATE, stream_key
 from ._steppers import backend_name
-from .drifts import drift_from_name, mollify
+from .drifts import _check_int, drift_from_name, mollify
 from .errors import ConfigError, KineticEmError
 from .integrator import integrate, trajectory_to_csv
 from .kernel import (
@@ -313,7 +313,7 @@ def _slope_checks(report, min_slope, max_slope_se, max_slope=None, tag="") -> li
 
 def cmd_simulate(cfg: dict, threads: int):
     drift = _drift_from_config(cfg)
-    n, d, horizon = cfg["n"], cfg["d"], cfg["horizon"]
+    n, d, horizon = _check_int("n", cfg["n"], 1), _check_int("d", cfg["d"], 1), cfg["horizon"]
     grid = GridSpec(n=n, horizon=horizon, d=d)
     md = mollify(drift, n, cfg["theta"], d=d)
     initial = _initial_from_config(cfg)

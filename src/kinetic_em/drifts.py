@@ -50,8 +50,8 @@ CLOSED_FORM_KINDS = ("zero", "constant", "linear_friction", "sign_velocity")
 _BLOCK_POINTS = 1 << 15
 
 
-def _check_order(name: str, value, minimum: int) -> int:
-    """A quadrature node count as an int, or ConfigError naming the argument."""
+def _check_int(name: str, value, minimum: int) -> int:
+    """An integer argument >= minimum as an int, or ConfigError naming the argument."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

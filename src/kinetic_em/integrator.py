@@ -33,7 +33,7 @@ from ._rng import ROLE_OU_RESIDUAL, normal_words, stream_key
 from .drifts import (
     CLOSED_FORM_KINDS,
     MollifiedDrift,
-    _check_order,
+    _check_int,
     evaluate_arrays,
     mollify_evaluate_arrays,
 )
@@ -142,7 +142,7 @@ def step_block(
     Gauss-Legendre nodes in the shift variable.  `quad_order` must be an
     integer >= 1 for every kind, so a bad value fails whichever route runs.
     """
-    quad_order = _check_order("quad_order", quad_order, 1)
+    quad_order = _check_int("quad_order", quad_order, 1)
     x_rec, v_rec = record_buffers(dW, record_stride)
     code = closed_form_code(md, dW.shape[2])
     if code is not None:
@@ -283,10 +283,17 @@ def exact_linear_block(
     """
     a, c1, cmat, lmat, _ = ou_step_coefficients(gamma, h)
     x_rec, v_rec = record_buffers(dW, record_stride)
-    # the update noise does not depend on the state: form it for all steps at once
-    nv = cmat[0, 0] * dW + cmat[0, 1] * dI + lmat[0, 0] * zeta[..., 0]
-    nx = cmat[1, 0] * dW + cmat[1, 1] * dI \
-        + lmat[1, 0] * zeta[..., 0] + lmat[1, 1] * zeta[..., 1]
+    # the update noise does not depend on the state: form it for all steps at
+    # once, in place, summing left to right
+    scratch = np.empty_like(dW)
+    nv = np.multiply(dW, cmat[0, 0])
+    nv += np.multiply(dI, cmat[0, 1], out=scratch)
+    nv += np.multiply(zeta[..., 0], lmat[0, 0], out=scratch)
+    nx = np.multiply(dW, cmat[1, 0])
+    nx += np.multiply(dI, cmat[1, 1], out=scratch)
+    nx += np.multiply(zeta[..., 0], lmat[1, 0], out=scratch)
+    nx += np.multiply(zeta[..., 1], lmat[1, 1], out=scratch)
+    del scratch
 
     def step(k):
         np.add(x, c1 * v, out=x)

@@ -45,11 +45,11 @@ class GridSpec:
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ConfigError(f"steps per unit time must be a positive integer, got {self.n}")
+            raise ConfigError(f"n must be a positive integer, got {self.n}")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ConfigError(f"dimension must be a positive integer, got {self.d}")
+            raise ConfigError(f"d must be a positive integer, got {self.d}")
         steps = self.n * self.horizon
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError(
@@ -225,7 +225,14 @@ def coarsen(path: AugmentedPath, factor: int) -> AugmentedPath:
 
 def coarsen_block(dw: np.ndarray, di: np.ndarray, factor: int,
                   h_fine: float) -> tuple[np.ndarray, np.ndarray]:
-    """coarsen() on raw increment blocks of shape (steps, M, d)."""
+    """coarsen() on raw increment blocks of shape (steps, M, d).
+
+    The sums over each coarse step's substeps are sequential, substep 0
+    first, whatever the shape, so a single path and a column of a block
+    coarsen to the same bits.  The loop holds three coarse-sized arrays (the
+    running W, the dI accumulator and one scratch array) and no temporary of
+    the fine block's size.
+    """
     if factor == 1:
         return dw, di
     k = dw.shape[0]
@@ -234,11 +241,16 @@ def coarsen_block(dw: np.ndarray, di: np.ndarray, factor: int,
     kc = k // factor
     dw_r = dw.reshape(kc, factor, *dw.shape[1:])
     di_r = di.reshape(kc, factor, *di.shape[1:])
-    inner = np.cumsum(dw_r, axis=1)
-    excl = np.empty_like(inner)
-    excl[:, 0] = 0.0
-    excl[:, 1:] = inner[:, :-1]
-    return dw_r.sum(axis=1), (di_r + h_fine * excl).sum(axis=1)
+    # w is W at the start of substep j relative to the coarse step start
+    w = dw_r[:, 0].copy()
+    acc = di_r[:, 0] + 0.0
+    scratch = np.empty_like(w)
+    for j in range(1, factor):
+        np.multiply(w, h_fine, out=scratch)
+        np.add(di_r[:, j], scratch, out=scratch)
+        np.add(acc, scratch, out=acc)
+        np.add(w, dw_r[:, j], out=w)
+    return w, acc
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from ._rng import (
     normal_words,
     stream_key,
 )
-from .drifts import DriftSpec, MollifiedDrift, mollify
+from .drifts import DriftSpec, MollifiedDrift, _check_int, mollify
 from .errors import ConfigError, ConfigWarning, DomainError, KineticEmError
 from .integrator import exact_linear_block, resolve_initial, step_block
 from .kernel import kernel_pair
@@ -51,8 +51,8 @@ EXACT_TOL = 1e-11
 
 _LOG2E_LN = math.log(2.0)
 
-# Bootstrap indices drawn per batch in strong_error (8 MB of int64).
-_BOOTSTRAP_INDICES = 1 << 20
+# Bootstrap indices drawn per batch in strong_error (512 KB of int64).
+_BOOTSTRAP_INDICES = 1 << 16
 
 
 # Streams sampled and stepped per chunk; any size gives the same bits.
@@ -271,7 +271,7 @@ class TestFunctionSet:
 def default_test_functions(d: int = 1) -> TestFunctionSet:
     """Eight bounded smooth observables mixing odd and even symmetry."""
     if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
+        raise ConfigError(f"d must be at least 1, got {d}")
 
     def sin_v1(x, v):
         return np.sin(v[:, 0])
@@ -319,8 +319,20 @@ def _assert_coupling(dw_f, di_f, dw_c, di_c, factor: int, h_fine: float) -> None
         raise KineticEmError("coupling violated: coarse I prefix drifts from fine")
 
 
-def _lm_norm(values: np.ndarray, m: float, axis=None) -> np.ndarray:
-    return np.mean(values**m, axis=axis) ** (1.0 / m)
+def _bootstrap_norms(em: np.ndarray, m: float, bootstrap: int, gen) -> np.ndarray:
+    """L^m norms of `bootstrap` resamples of the samples whose m-th powers are em.
+
+    The resamples are drawn in row batches of about _BOOTSTRAP_INDICES
+    indices, one after another from `gen`: the indices equal a single
+    (bootstrap, samples) draw, but memory stays bounded as `samples` grows.
+    """
+    samples = em.shape[0]
+    rows = max(1, _BOOTSTRAP_INDICES // samples)
+    norms = np.empty(bootstrap)
+    for r in range(0, bootstrap, rows):
+        idx = gen.integers(0, samples, size=(min(rows, bootstrap - r), samples))
+        norms[r:r + len(idx)] = np.mean(em[idx], axis=1) ** (1.0 / m)
+    return norms
 
 
 def strong_error(
@@ -351,7 +363,8 @@ def strong_error(
     and the L^m norm over samples gets a bootstrap standard error.
     """
     levels = _check_levels(levels)
-    n_ref = int(n_ref)
+    n_ref = _check_int("n_ref", n_ref, 1)
+    d = _check_int("d", d, 1)
     for n in levels:
         if n_ref % n:
             raise ConfigError(f"n_ref={n_ref} is not divisible by level n={n}")
@@ -388,8 +401,6 @@ def strong_error(
     stride = k_ref // k_lcm
     md_ref = None if reference == "exact" else mollify(drift, n_ref, theta, d=d)
     md_levels = [mollify(drift, n, theta, d=d) for n in levels]
-    # shared-time slots of the recorded reference for each level's grid
-    selectors = [np.arange(1, g.num_steps + 1) * (k_lcm // g.num_steps) - 1 for g in grids]
     x0, v0 = resolve_initial(initial, d)
 
     errs = np.empty((samples, len(levels)))
@@ -412,10 +423,12 @@ def strong_error(
                 _assert_coupling(dw[:, :1], di[:, :1], dwc[:, :1], dic[:, :1],
                                  factor, grid_ref.h)
             lx, lv = _scheme(drift, md_levels[li], grid, quad_order, x0, v0, lo, dwc, dic, 1)
-            sel = selectors[li]
-            dx = lx - rx[sel]
-            dv = lv - rv[sel]
-            dist = np.sqrt((dx * dx).sum(axis=2) + (dv * dv).sum(axis=2))
+            # the reference slots at the level's grid times, as a strided view
+            s = k_lcm // grid.num_steps
+            for lz, rz in ((lx, rx), (lv, rv)):
+                np.subtract(lz, rz[s - 1::s], out=lz)
+                np.multiply(lz, lz, out=lz)
+            dist = np.sqrt(lx.sum(axis=2) + lv.sum(axis=2))
             errs[lo:hi, li] = dist.max(axis=0)
 
     _run_streams(grid_ref, seed, ROLE_STRONG, 0, samples, _STRONG_CHUNK, threads, work)
@@ -423,19 +436,10 @@ def strong_error(
     estimates = []
     ses = []
     for li in range(len(levels)):
-        e = errs[:, li]
-        estimates.append(float(_lm_norm(e, m)))
-        # Resample in row batches drawn one after another from the one
-        # stream: the indices equal a single (bootstrap, samples) draw, but
-        # memory stays bounded as `samples` grows.
+        em = errs[:, li] ** m
+        estimates.append(float(np.mean(em) ** (1.0 / m)))
         gen = make_generator(seed, stream_key(ROLE_BOOTSTRAP, li))
-        rows = max(1, _BOOTSTRAP_INDICES // samples)
-        resampled = np.concatenate([
-            _lm_norm(e[gen.integers(0, samples, size=(min(rows, bootstrap - r), samples))],
-                     m, axis=1)
-            for r in range(0, bootstrap, rows)
-        ])
-        ses.append(float(resampled.std(ddof=1)))
+        ses.append(float(_bootstrap_norms(em, m, bootstrap, gen).std(ddof=1)))
     return _fitted_report(levels, estimates, ses, {
         "experiment": "strong_error",
         "drift": drift.drift_id,
@@ -529,7 +533,8 @@ def weak_error(
     the time-integrated squared total variation distance.
     """
     levels = _check_levels(levels)
-    n_ref = int(n_ref)
+    n_ref = _check_int("n_ref", n_ref, 1)
+    d = _check_int("d", d, 1)
     for n in levels:
         if n_ref % n:
             raise ConfigError(f"n_ref={n_ref} is not divisible by level n={n}")
@@ -791,7 +796,9 @@ def tv_proxy(
     """
     if d != 1:
         raise DomainError("the histogram proxy is restricted to d=1 (cost)")
-    n, n_ref = int(n), int(n_ref)
+    n, n_ref = _check_int("n", n, 1), _check_int("n_ref", n_ref, 1)
+    if not (t > 0 and math.isfinite(t)):
+        raise ConfigError(f"t must be positive and finite, got {t}")
     if bins < 8:
         raise ConfigError(f"need at least 8 bins per axis, got {bins}")
     if not (radius_sds > 0.0 and math.isfinite(radius_sds)):

@@ -2,6 +2,7 @@ import glob
 import io
 import json
 import os
+import re
 
 import mpmath
 import numpy as np
@@ -272,36 +273,48 @@ def test_missing_table_path_exits_two(tmp_path):
 _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
 
 
-@pytest.mark.parametrize("sub,section,flags,key", [
-    pytest.param("simulate", "", ["--seed", "-1"], "seed", id="seed-negative"),
-    pytest.param("simulate", "", ["--seed", str(2**64)], "seed", id="seed-2**64"),
-    pytest.param("simulate", "paths = 0\n", [], "paths", id="paths-zero"),
-    pytest.param("simulate", "paths = -3\n", [], "paths", id="paths-negative"),
-    pytest.param("taming-demo", "horizon = nan\n", [], "horizon", id="horizon-nan"),
-    pytest.param("taming-demo", "horizon = inf\n", [], "horizon", id="horizon-inf"),
-    pytest.param("taming-demo", "d = 0\n", [], "d", id="demo-d-zero"),
-    pytest.param("taming-demo", "d = -2\n", [], "d", id="demo-d-negative"),
-    pytest.param("tv-proxy", "radius_sds = -1\n", [], "radius_sds", id="radius-negative"),
-    pytest.param("tv-proxy", "radius_sds = inf\n", [], "radius_sds", id="radius-inf"),
-    pytest.param("kernel-check", "points = 1\n", [], "points", id="points-one"),
-    pytest.param("kernel-check", "probes = 0\n", [], "probes", id="probes-zero"),
-    pytest.param("strong-rate", "m = inf\nlevels = 4, 8, 16\n", [], "m", id="m-inf"),
-    pytest.param("weak-rate", "t_eval = nan\n", [], "t_eval", id="t_eval-nan"),
-    pytest.param("weak-rate", "t_eval = inf\n", [], "t_eval", id="t_eval-inf"),
+@pytest.mark.parametrize("sub,section,flags,message", [
+    pytest.param("simulate", "", ["--seed", "-1"], "seed must", id="seed-negative"),
+    pytest.param("simulate", "", ["--seed", str(2**64)], "seed must", id="seed-2**64"),
+    pytest.param("simulate", "paths = 0\n", [], "paths must", id="paths-zero"),
+    pytest.param("simulate", "paths = -3\n", [], "paths must", id="paths-negative"),
+    pytest.param("taming-demo", "horizon = nan\n", [], "horizon must", id="horizon-nan"),
+    pytest.param("taming-demo", "horizon = inf\n", [], "horizon must", id="horizon-inf"),
+    pytest.param("taming-demo", "d = 0\n", [], "d must", id="demo-d-zero"),
+    pytest.param("taming-demo", "d = -2\n", [], "d must", id="demo-d-negative"),
+    pytest.param("tv-proxy", "radius_sds = -1\n", [], "radius_sds must", id="radius-negative"),
+    pytest.param("tv-proxy", "radius_sds = inf\n", [], "radius_sds must", id="radius-inf"),
+    pytest.param("kernel-check", "points = 1\n", [], "points must", id="points-one"),
+    pytest.param("kernel-check", "probes = 0\n", [], "probes must", id="probes-zero"),
+    pytest.param("strong-rate", "m = inf\nlevels = 4, 8, 16\n", [], "m must", id="m-inf"),
+    pytest.param("weak-rate", "t_eval = nan\n", [], "t_eval must", id="t_eval-nan"),
+    pytest.param("weak-rate", "t_eval = inf\n", [], "t_eval must", id="t_eval-inf"),
     pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nquad_order = 0\n", [],
-                 "quad_order", id="quad-order-zero-strong"),
-    pytest.param("weak-rate", _SIGN_SMALL + "quad_order = 0\n", [], "quad_order",
+                 "quad_order must", id="quad-order-zero-strong"),
+    pytest.param("weak-rate", _SIGN_SMALL + "quad_order = 0\n", [], "quad_order must",
                  id="quad-order-zero-weak"),
     pytest.param("tv-proxy", "drift = sign_velocity\nn = 4\nn_ref = 8\nbins = 8\n"
-                 "samples = 512\nquad_order = 0\n", [], "quad_order",
+                 "samples = 512\nquad_order = 0\n", [], "quad_order must",
                  id="quad-order-zero-tv"),
-    pytest.param("simulate", "quad_order = 0\n", [], "quad_order",
+    pytest.param("simulate", "quad_order = 0\n", [], "quad_order must",
                  id="quad-order-zero-simulate"),
-    pytest.param("strong-rate", "chunk = 64\n", [], "chunk", id="chunk-unknown"),
+    pytest.param("strong-rate", "chunk = 64\n", [], "key 'chunk'", id="chunk-unknown"),
+    pytest.param("tv-proxy", "t = nan\n", [], "t must", id="tv-t-nan"),
+    pytest.param("tv-proxy", "t = inf\n", [], "t must", id="tv-t-inf"),
+    pytest.param("tv-proxy", "n_ref = 0\n", [], "n_ref must", id="n_ref-zero-tv"),
+    pytest.param("strong-rate", "n_ref = 0\n", [], "n_ref must", id="n_ref-zero-strong"),
+    pytest.param("weak-rate", "n_ref = 0\n", [], "n_ref must", id="n_ref-zero-weak"),
+    pytest.param("tv-proxy", "n = 0\n", [], "n must", id="n-zero-tv"),
+    pytest.param("simulate", "n = 0\n", [], "n must", id="n-zero-simulate"),
+    pytest.param("simulate", "d = 0\n", [], "d must", id="d-zero-simulate"),
+    pytest.param("strong-rate", "d = 0\n", [], "d must", id="d-zero-strong"),
+    pytest.param("weak-rate", "d = 0\n", [], "d must", id="d-zero-weak"),
 ])
-def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, key):
+def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, message):
+    # `message` starts with the key and must start a word of the error, so
+    # that "n must" is not found inside, say, "dimension must"
     cfg = _write(tmp_path / "cfg.ini", f"[{sub}]\n{section}")
     out = str(tmp_path / "r")
     assert main([sub, "--config", cfg, "--out", out, *flags]) == 2
-    assert key in capsys.readouterr().err
+    assert re.search(r"\b" + re.escape(message), capsys.readouterr().err)
     assert not os.path.exists(out)

@@ -6,7 +6,7 @@ import pytest
 
 from kinetic_em import drifts
 from kinetic_em.drifts import (
-    _check_order,
+    _check_int,
     DriftSpec,
     MollifiedDrift,
     TabulatedField,
@@ -184,8 +184,8 @@ def test_blocked_quadrature_keeps_extrapolation_error():
 def test_quadrature_orders_must_be_integers():
     for bad in (2.5, 0, True, "8"):
         with pytest.raises(ConfigError, match="quad_order"):
-            _check_order("quad_order", bad, 1)
-    assert _check_order("quad_order", np.int64(16), 1) == 16
+            _check_int("quad_order", bad, 1)
+    assert _check_int("quad_order", np.int64(16), 1) == 16
     # the Gauss-Hermite order is fixed, not a per-drift setting
     md = mollify(oscillatory_singular(), 8, 0.5)
     assert md.quad_points == MollifiedDrift.quad_points == 64

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -162,14 +163,53 @@ def test_coarsen_consistency_property(log_n, log_f, seed):
 
 
 def test_coarsen_block_matches_path_coarsen():
-    g = GridSpec(n=16, d=1)
-    dw, di = sample_increment_block(g, seed=7, stream_ids=range(5))
-    dwc, dic = coarsen_block(dw, di, 4, g.h)
-    for j in range(5):
-        p = AugmentedPath(grid=g, dW=dw[:, j], dI=di[:, j], seed=7, stream_id=j)
-        c = coarsen(p, 4)
-        assert np.array_equal(dwc[:, j], c.dW)
-        assert np.array_equal(dic[:, j], c.dI)
+    # a single path (M = 1) must coarsen in the block's summation order
+    for d in (1, 2):
+        g = GridSpec(n=256, d=d)
+        dw, di = sample_increment_block(g, seed=7, stream_ids=range(5))
+        for factor in (4, 8, 16, 64, 256):
+            dwc, dic = coarsen_block(dw, di, factor, g.h)
+            for j in range(5):
+                p = AugmentedPath(grid=g, dW=dw[:, j], dI=di[:, j], seed=7, stream_id=j)
+                c = coarsen(p, factor)
+                assert np.array_equal(dwc[:, j], c.dW), (d, factor, j)
+                assert np.array_equal(dic[:, j], c.dI), (d, factor, j)
+
+
+# sha256 of coarsen_block's (dW, dI) over factors 2, 4, ..., 256 for 5 streams,
+# taken when it summed with numpy's sum(axis=1) over the substep axis.
+_COARSEN_GOLDEN = {
+    1: "1dc55b58315828c0d8e634891fb8e1c2ae5986e04c7d56dfe3c945355b46a8dd",
+    2: "bdc99bbe4977f16c2dffdd80794d9a3b537efb4f11dc641d892305f90b8141a3",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_COARSEN_GOLDEN))
+def test_coarsen_block_golden_digests(d):
+    g = GridSpec(n=256, d=d)
+    dw, di = sample_increment_block(g, 20260814, [stream_key(ROLE_STRONG, i) for i in range(5)])
+    digest = hashlib.sha256()
+    for factor in (2, 4, 8, 16, 32, 64, 128, 256):
+        for a in coarsen_block(dw, di, factor, g.h):
+            assert a.shape == (g.num_steps // factor, 5, d) and a.flags.c_contiguous
+            digest.update(a.astype("<f8").tobytes())
+    assert digest.hexdigest() == _COARSEN_GOLDEN[d]
+
+
+def test_coarsen_block_holds_three_coarse_arrays():
+    # 2 MB per fine array; the loop keeps the two coarse outputs, one
+    # scratch array and NumPy's 64 KB ufunc buffer, and no temporary of the
+    # fine block's size
+    rng = np.random.default_rng(3)
+    dw, di = rng.normal(size=(2, 4096, 64, 1))
+    for factor in (4, 16, 256):
+        tracemalloc.start()
+        try:
+            dwc, _ = coarsen_block(dw, di, factor, 1.0 / 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * dwc.nbytes + 128 * 1024 < dw.nbytes, (factor, peak)
 
 
 def test_sample_increment_block_layout_matches_sample_path():

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,21 @@ def test_strong_error_bootstrap_batches_match_one_draw(monkeypatch):
     batched = strong_error(sign_velocity(), 0.5, (4, 8), 16, **kwargs)
     assert batched.errors == whole.errors
     assert batched.errors_se == whole.errors_se
+
+
+def test_bootstrap_batch_memory_is_bounded():
+    # strong-ou's 20000 samples: a batch holds about 2^16 indices and the
+    # values they pick, 1 MB together, however many resamples are asked for
+    em = np.random.default_rng(0).random(20_000)
+    gen = rates.make_generator(1, 2)
+    tracemalloc.start()
+    try:
+        norms = rates._bootstrap_norms(em, 2.0, 200, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (200,)
+    assert peak <= 2 * 8 * (1 << 16) + norms.nbytes + 16 * 1024, peak
 
 
 def test_strong_error_linear_friction_exact_reference():
