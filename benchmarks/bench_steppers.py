@@ -7,7 +7,12 @@ there once `python setup.py build_ext --inplace` has built it.  The
 `exact_linear` rows time `integrator.exact_linear_block`, the exact OU
 solution of strong-rate runs, which has only a NumPy implementation.  The
 `coarsen_xF` rows time `paths.coarsen_block` aggregating a (4096, 256, 1)
-increment block by factor F, counted in fine path-steps per second.
+increment block by factor F, counted in fine path-steps per second.  The
+`quadrature_osc` and `quadrature_tab` rows time `drifts.mollify_evaluate_arrays`
+on the Gauss-Hermite route at strong-osc's step shape (8 shift nodes x 100
+states, velocity a zero-stride view), for the oscillatory drift, whose grid is
+an outer product of its factors, and for a tabulated field, which is not;
+they count grid points per second.
 
 Usage: python3 benchmarks/bench_steppers.py [--quick]
 """
@@ -19,10 +24,14 @@ import numpy as np
 
 from kinetic_em._steppers import available_backends
 from kinetic_em.drifts import (
+    TabulatedField,
     constant_drift,
     linear_friction,
     mollify,
+    mollify_evaluate_arrays,
+    oscillatory_singular,
     sign_velocity,
+    tabulated_drift,
     zero_drift,
 )
 from kinetic_em.integrator import closed_form_code, exact_linear_block
@@ -109,6 +118,17 @@ def main() -> None:
         t_np = run(lambda xs, vs: coarsen_block(dw, di, factor, h), x, v)
         print(f"{f'coarsen_x{factor}':16s} {steps:6d} {paths:6d} {d:2d} "
               f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
+    rng = np.random.default_rng(2)
+    table = TabulatedField(np.linspace(-6, 6, 25), np.linspace(-6, 6, 25),
+                           rng.normal(size=(25, 25)))
+    x = 0.5 * rng.normal(size=(8, 100, 1))
+    v = np.broadcast_to(0.5 * rng.normal(size=(100, 1)), x.shape)
+    for name, drift in (("quadrature_osc", oscillatory_singular()),
+                        ("quadrature_tab", tabulated_drift(table))):
+        md = mollify(drift, 64, 0.5)
+        t_np = run(lambda xs, vs: mollify_evaluate_arrays(md, xs, v), x, v)
+        print(f"{name:16s} {x.shape[0]:6d} {x.shape[1]:6d} {x.shape[2]:2d} "
+              f"{x.size * md.quad_points**2 / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
 
 
 if __name__ == "__main__":

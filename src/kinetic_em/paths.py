@@ -31,6 +31,21 @@ __all__ = [
 ]
 
 
+def _check_horizon(name: str, horizon, n: int) -> float:
+    """A horizon that is a whole number of steps 1/n, as a float.
+
+    Otherwise ConfigError naming the key the horizon came from and the n.
+    """
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ConfigError(f"{name} must be positive and finite, got {horizon}")
+    steps = n * horizon
+    if abs(steps - round(steps)) > 1e-9:
+        raise ConfigError(
+            f"{name} must be a whole number of steps at n={n}, got n * {name} = {steps}"
+        )
+    return float(horizon)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid with n steps per unit time on [0, horizon], dimension d.
@@ -46,17 +61,11 @@ class GridSpec:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ConfigError(f"n must be a positive integer, got {self.n}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+        horizon = _check_horizon("horizon", self.horizon, self.n)
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
             raise ConfigError(f"d must be a positive integer, got {self.d}")
-        steps = self.n * self.horizon
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError(
-                f"n * horizon = {steps} is not a whole number of steps"
-            )
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "d", int(self.d))
 
     @property

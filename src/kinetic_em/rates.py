@@ -39,6 +39,7 @@ from .integrator import exact_linear_block, resolve_initial, step_block
 from .kernel import kernel_pair
 from .paths import (
     GridSpec,
+    _check_horizon,
     coarsen_block,
     prefix_integrals,
     sample_increment_block,
@@ -797,8 +798,8 @@ def tv_proxy(
     if d != 1:
         raise DomainError("the histogram proxy is restricted to d=1 (cost)")
     n, n_ref = _check_int("n", n, 1), _check_int("n_ref", n_ref, 1)
-    if not (t > 0 and math.isfinite(t)):
-        raise ConfigError(f"t must be positive and finite, got {t}")
+    for res in (n, n_ref):
+        _check_horizon("t", t, res)
     if bins < 8:
         raise ConfigError(f"need at least 8 bins per axis, got {bins}")
     if not (radius_sds > 0.0 and math.isfinite(radius_sds)):

@@ -309,6 +309,14 @@ _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
     pytest.param("simulate", "d = 0\n", [], "d must", id="d-zero-simulate"),
     pytest.param("strong-rate", "d = 0\n", [], "d must", id="d-zero-strong"),
     pytest.param("weak-rate", "d = 0\n", [], "d must", id="d-zero-weak"),
+    pytest.param("tv-proxy", "t = 0.3\nn = 16\n", [],
+                 "t must be a whole number of steps at n=16", id="tv-t-off-grid"),
+    pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nhorizon = 0.3\n", [],
+                 "horizon must be a whole number of steps at n=8", id="horizon-off-grid-strong"),
+    pytest.param("weak-rate", _SIGN_SMALL + "horizon = 0.3\n", [],
+                 "horizon must be a whole number of steps at n=8", id="horizon-off-grid-weak"),
+    pytest.param("simulate", "horizon = 0.3\n", [],
+                 "horizon must be a whole number of steps at n=8", id="horizon-off-grid-simulate"),
 ])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, message):
     # `message` starts with the key and must start a word of the error, so

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -171,6 +172,30 @@ def test_blocked_quadrature_matches_unblocked_oracle(monkeypatch, states):
         assert np.array_equal(got, _unblocked_quadrature(md, x, v, 64))
 
 
+def test_separable_route_keeps_zero_offsets_and_nan():
+    # The outer-product route writes f(x) g(v) through einsum, which forms
+    # f*g + 0: where g(0) = +0 meets f = -1 it stores +0.0, not -0.0, and
+    # f(0) = sign(sin 0) = +0 zeroes a whole grid row.  Neither may move a bit.
+    md = mollify(oscillatory_singular(), 16, 0.02, d=2)
+    ys, _ = drifts._hermite_rule(md.quad_points)
+    rng = np.random.default_rng(5)
+    x = 0.5 * rng.normal(size=(12, 2))
+    v = 0.5 * rng.normal(size=(12, 2))
+    v[:6, 0] = ys[:6] * md.sigma_v  # velocity offset k of state k is exactly 0
+    x[3:9, 0] = ys[40:46] * md.sigma_x  # position offsets exactly 0, some with v's
+    x[9:, 1] = ys[60:63] * md.sigma_x
+    assert np.count_nonzero(v[:, :1] - ys * md.sigma_v == 0) == 6
+    assert np.count_nonzero(x[:, :, None] - ys * md.sigma_x == 0) == 9
+    got = mollify_evaluate_arrays(md, x, v)
+    assert got.tobytes() == _unblocked_quadrature(md, x, v, 64).tobytes()
+    # a non-finite position stays NaN in its own component and nowhere else
+    x[0, 0], x[1, 1] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        got = mollify_evaluate_arrays(md, x, v)
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 1])
+    assert np.count_nonzero(np.isnan(got)) == 2
+
+
 def test_blocked_quadrature_keeps_extrapolation_error():
     table = TabulatedField(np.linspace(-1, 1, 5), np.linspace(-6, 6, 5), np.zeros((5, 5)))
     md = mollify(tabulated_drift(table), 16, 0.5)
@@ -179,6 +204,37 @@ def test_blocked_quadrature_keeps_extrapolation_error():
     x[33] = 0.99  # the offsets of this state, in the fifth block, leave the grid
     with pytest.raises(ExtrapolationError):
         mollify_evaluate_arrays(md, x, np.zeros((40, 1)))
+
+
+# sha256 of mollify_evaluate_arrays at strong-osc's step shape (8 shift nodes
+# x 100 states, velocity a zero-stride view): oscillatory_singular at d = 1, 2, 3
+# with strong-osc's kappa, beta and reference mollifier, then one tabulated field.
+# Recorded with numpy 2.4 on x86-64; the bits rest on numpy's sin and power and
+# on the Gauss-Hermite rule that hermgauss builds.
+_QUADRATURE_GOLDEN = {
+    1: "b52462c1027997b6cd2b365b6607e4495598bc93b31f862c49bc58c25796f2a7",
+    2: "5f97fe056594a3102e4ca21331be0b81bb0ce6099c60ccea0b9d9e6d29e550b8",
+    3: "d7875e3e64e40860d8e31feeeaa26dabb8493506f39538592c96e4dfb5573066",
+    "tabulated": "46e619b31d82c6528f0dd22f6262c195ee6816c32e438ae57192f84a29eb261b",
+}
+
+
+def test_quadrature_route_golden_digests():
+    rng = np.random.default_rng(20260814)
+    digests = {}
+    for d in (1, 2, 3):
+        md = MollifiedDrift(oscillatory_singular(3.0, 0.25), 64, 0.5)
+        x = rng.normal(size=(8, 100, d))
+        v = np.broadcast_to(0.5 * rng.normal(size=(100, d)), x.shape)
+        digests[d] = mollify_evaluate_arrays(md, x, v)
+    table = TabulatedField(np.linspace(-6, 6, 25), np.linspace(-6, 6, 25),
+                           rng.normal(size=(25, 25)))
+    md = MollifiedDrift(tabulated_drift(table), 16, 0.5)
+    x = 0.5 * rng.normal(size=(8, 100, 1))
+    v = np.broadcast_to(0.5 * rng.normal(size=(100, 1)), x.shape)
+    digests["tabulated"] = mollify_evaluate_arrays(md, x, v)
+    for key, out in digests.items():
+        assert hashlib.sha256(out.tobytes()).hexdigest() == _QUADRATURE_GOLDEN[key], key
 
 
 def test_quadrature_orders_must_be_integers():
