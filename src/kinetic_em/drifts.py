@@ -48,6 +48,12 @@ CLOSED_FORM_KINDS = ("zero", "constant", "linear_friction", "sign_velocity")
 # block is at most this many (P, P) grid points or a single state.  About
 # 256 KB of float64, so each block's product, weighting and sum stay in cache.
 _BLOCK_POINTS = 1 << 15
+# Blocks per chunk of states whose (chunk, P) offsets are formed at once.  The
+# chunk bounds the offset buffers (32 KB each at P = 64), so a call's working
+# set does not grow with the number of states and its buffers stay small
+# enough for malloc to recycle: whole-call offset arrays cost every call
+# hundreds of fresh page faults, whose price varies from run to run.
+_CHUNK_BLOCKS = 8
 
 
 def _check_int(name: str, value, minimum: int) -> int:
@@ -290,16 +296,32 @@ def _hermite_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, ws
 
 
+@functools.lru_cache(maxsize=32)
+def _weight_grid(points: int, block: int) -> np.ndarray:
+    """The weights ws_a * ws_b of the (P, P) grid repeated for `block` states; read-only.
+
+    NumPy multiplies two arrays of one shape about twice as fast as it
+    broadcasts the (P, P) grid against a block.
+    """
+    _, ws = _hermite_rule(points)
+    weights = np.empty((block, points, points))
+    np.multiply(ws[:, None], ws, out=weights)
+    weights.flags.writeable = False
+    return weights
+
+
 def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Componentwise 2-D Gauss-Hermite convolution for kinds without closed form.
 
     Both quadrature kinds have b_i depending on (x_i, v_i) only, so the
     2d-dimensional convolution factorizes into one 2-D quadrature per
-    component.  Per component the (state, P) position and velocity offsets
-    are formed once.  The states are then taken in blocks of at most
+    component.  Per component the states are taken in chunks of
+    _CHUNK_BLOCKS blocks, whose (chunk, P) position and velocity offsets are
+    formed once into two reused buffers, and each chunk in blocks of at most
     _BLOCK_POINTS grid points: per block the (block, P, P) point values are
     weighted in place and summed over the grid, so the product stays in cache
-    instead of streaming (..., P, P) temporaries through memory.
+    instead of streaming (..., P, P) temporaries through memory.  No buffer
+    grows with the number of states.
 
     A field that factors as f(x) g(v) (`_separable`) has f and g evaluated
     once on the P offsets of each axis, and each block's grid is their outer
@@ -310,11 +332,11 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
     evaluate b on the broadcast offsets.  Either way every point value, weighted product
     and per-state sum is the one the whole-array product would give, since
     each state's sum reads only its own contiguous (P, P) slab in the same
-    order, so the bits depend neither on the block size nor on the route.
-    The result is C-ordered whatever the layout of `v`.
+    order, so the bits depend neither on the block or chunk size nor on the
+    route.  The result is C-ordered whatever the layout of `v`.
     """
     points = md.quad_points
-    ys, ws = _hermite_rule(points)
+    ys, _ = _hermite_rule(points)
     yx = ys * md.sigma_x  # offsets in x
     yv = ys * md.sigma_v  # offsets in v
     shape = np.broadcast_shapes(x.shape, v.shape)
@@ -324,24 +346,28 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
     states = xf.shape[0]
     out = np.empty(xf.shape)
     block = max(1, _BLOCK_POINTS // points**2)
+    chunk = block * _CHUNK_BLOCKS
     grid = np.empty((min(block, states), points, points))
-    # the weight grid ws_a * ws_b repeated per state: NumPy multiplies two
-    # arrays of one shape about twice as fast as it broadcasts the (P, P) grid
-    weights = np.multiply(ws[:, None], ws, out=np.empty_like(grid))
+    weights = _weight_grid(points, block)
+    xbuf = np.empty((min(chunk, states), points))
+    vbuf = np.empty_like(xbuf)
     for i in range(d):
-        xi = xf[:, i, None] - yx
-        vi = vf[:, i, None] - yv
-        factors = _separable(md.base, xi, vi)
-        for lo in range(0, states, block):
-            hi = min(lo + block, states)
-            if factors is None:
-                vals = evaluate_arrays(md.base, xi[lo:hi, :, None, None],
-                                       vi[lo:hi, None, :, None])[..., 0]
-            else:
-                f, g = factors
-                vals = np.einsum("ia,ib->iab", f[lo:hi], g[lo:hi], out=grid[:hi - lo])
-            vals *= weights[:hi - lo]
-            np.add.reduce(vals.reshape(hi - lo, -1), axis=1, out=out[lo:hi, i])
+        for start in range(0, states, chunk):
+            rows = min(chunk, states - start)
+            xi = np.subtract(xf[start:start + rows, i, None], yx, out=xbuf[:rows])
+            vi = np.subtract(vf[start:start + rows, i, None], yv, out=vbuf[:rows])
+            factors = _separable(md.base, xi, vi)
+            for lo in range(0, rows, block):
+                hi = min(lo + block, rows)
+                if factors is None:
+                    vals = evaluate_arrays(md.base, xi[lo:hi, :, None, None],
+                                           vi[lo:hi, None, :, None])[..., 0]
+                else:
+                    f, g = factors
+                    vals = np.einsum("ia,ib->iab", f[lo:hi], g[lo:hi], out=grid[:hi - lo])
+                vals *= weights[:hi - lo]
+                np.add.reduce(vals.reshape(hi - lo, -1), axis=1,
+                              out=out[start + lo:start + hi, i])
     return out.reshape(shape)
 
 
