@@ -8,11 +8,15 @@ there once `python setup.py build_ext --inplace` has built it.  The
 solution of strong-rate runs, which has only a NumPy implementation.  The
 `coarsen_xF` rows time `paths.coarsen_block` aggregating a (4096, 256, 1)
 increment block by factor F, counted in fine path-steps per second.  The
-`quadrature_osc` and `quadrature_tab` rows time `drifts.mollify_evaluate_arrays`
-on the Gauss-Hermite route at strong-osc's step shape (8 shift nodes x 100
-states, velocity a zero-stride view), for the oscillatory drift, whose grid is
-an outer product of its factors, and for a tabulated field, which is not;
-they count grid points per second.
+`quadrature_*` rows time `drifts.mollify_evaluate_arrays` on the
+Gauss-Hermite route at strong-osc's step shape (8 shift nodes x 100 states,
+velocity a zero-stride view) and count nominal grid points per second.
+`quadrature_osc` is the oscillatory drift at normal positions, where most
+states see one sign of sin(kappa x) on all their offsets and take one grid sum
+per velocity; in `quadrature_osc_mixed` every state's offsets straddle a zero
+of sin(kappa x), so every state builds its own grid as the outer product of
+the drift's factors; `quadrature_tab` is a tabulated field, which does not
+factor.  All rows run under `--quick` too.
 
 Usage: python3 benchmarks/bench_steppers.py [--quick]
 """
@@ -87,7 +91,7 @@ def main() -> None:
     compiled = backends.get("compiled")
     if compiled is None:
         print("compiled backend unavailable; benchmarking the NumPy fallback only")
-    header = f"{'kind':16s} {'steps':>6s} {'paths':>6s} {'d':>2s} " \
+    header = f"{'kind':20s} {'steps':>6s} {'paths':>6s} {'d':>2s} " \
              f"{'numpy Mps':>10s} {'compiled Mps':>13s} {'speedup':>8s}"
     print(header)
     print("-" * len(header))
@@ -101,34 +105,37 @@ def main() -> None:
             if compiled is not None:
                 t_c = run(lambda xs, vs: compiled(dw, di, xs, vs, h, kind, params), x, v)
                 mps_c = steps * paths * d / t_c / 1e6
-                print(f"{kind_name:16s} {steps:6d} {paths:6d} {d:2d} "
+                print(f"{kind_name:20s} {steps:6d} {paths:6d} {d:2d} "
                       f"{mps_np:10.1f} {mps_c:13.1f} {t_np / t_c:7.2f}x")
             else:
-                print(f"{kind_name:16s} {steps:6d} {paths:6d} {d:2d} "
+                print(f"{kind_name:20s} {steps:6d} {paths:6d} {d:2d} "
                       f"{mps_np:10.1f} {'-':>13s} {'-':>8s}")
     for steps, paths, d in shapes:
         h, dw, di, x, v = workload(steps, paths, d)
         zeta = np.random.default_rng(1).normal(size=(steps, paths, d, 2))
         t_np = run(lambda xs, vs: exact_linear_block(1.0, h, dw, di, zeta, xs, vs), x, v)
-        print(f"{'exact_linear':16s} {steps:6d} {paths:6d} {d:2d} "
+        print(f"{'exact_linear':20s} {steps:6d} {paths:6d} {d:2d} "
               f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
     steps, paths, d = 4096, 256, 1
     h, dw, di, x, v = workload(steps, paths, d)
     for factor in (2, 4, 8, 16, 32, 64, 128, 256):
         t_np = run(lambda xs, vs: coarsen_block(dw, di, factor, h), x, v)
-        print(f"{f'coarsen_x{factor}':16s} {steps:6d} {paths:6d} {d:2d} "
+        print(f"{f'coarsen_x{factor}':20s} {steps:6d} {paths:6d} {d:2d} "
               f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
     rng = np.random.default_rng(2)
     table = TabulatedField(np.linspace(-6, 6, 25), np.linspace(-6, 6, 25),
                            rng.normal(size=(25, 25)))
     x = 0.5 * rng.normal(size=(8, 100, 1))
     v = np.broadcast_to(0.5 * rng.normal(size=(100, 1)), x.shape)
-    for name, drift in (("quadrature_osc", oscillatory_singular()),
-                        ("quadrature_tab", tabulated_drift(table))):
+    # within 0.01 of a zero k pi / 3 of sin(3x); the offsets reach 0.029 either side
+    mixed = rng.integers(-2, 3, size=x.shape) * np.pi / 3 + rng.uniform(-0.01, 0.01, x.shape)
+    for name, drift, xq in (("quadrature_osc", oscillatory_singular(), x),
+                            ("quadrature_osc_mixed", oscillatory_singular(), mixed),
+                            ("quadrature_tab", tabulated_drift(table), x)):
         md = mollify(drift, 64, 0.5)
-        t_np = run(lambda xs, vs: mollify_evaluate_arrays(md, xs, v), x, v)
-        print(f"{name:16s} {x.shape[0]:6d} {x.shape[1]:6d} {x.shape[2]:2d} "
-              f"{x.size * md.quad_points**2 / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
+        t_np = run(lambda xs, vs: mollify_evaluate_arrays(md, xs, v), xq, v)
+        print(f"{name:20s} {xq.shape[0]:6d} {xq.shape[1]:6d} {xq.shape[2]:2d} "
+              f"{xq.size * md.quad_points**2 / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
 
 
 if __name__ == "__main__":

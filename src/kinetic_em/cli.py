@@ -196,8 +196,21 @@ def load_config(path: str, subcommand: str) -> dict:
     import configparser
 
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"config key {exc.option!r} appears twice in [{exc.section}] "
+                          f"(line {exc.lineno})") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"config section [{exc.section}] appears twice "
+                          f"(line {exc.lineno})") from exc
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"config line {exc.lineno} comes before any [section] header: "
+                          f"{exc.line.strip()!r}") from exc
+    except configparser.ParsingError as exc:
+        lineno, line = exc.errors[0]  # the line as its repr
+        raise ConfigError(f"config line {lineno} is not a 'key = value' pair: {line}") from exc
     if parser.defaults():
         raise ConfigError("put shared keys under [common], not [DEFAULT]")
     known_sections = {"common", *SUBCOMMANDS}

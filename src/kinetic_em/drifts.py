@@ -134,8 +134,11 @@ class DriftSpec:
             raise ConfigError(f"unknown drift kind {self.kind!r}; choose from {_KINDS}")
         if self.kind == "linear_friction" and not self.gamma >= 0:
             raise ConfigError(f"friction coefficient must be >= 0, got {self.gamma}")
-        if self.kind == "oscillatory_singular" and not self.profile_beta >= 0:
-            raise ConfigError(f"profile exponent must be >= 0, got {self.profile_beta}")
+        if self.kind == "oscillatory_singular":
+            if not math.isfinite(self.kappa):
+                raise ConfigError(f"kappa must be finite, got {self.kappa}")
+            if not self.profile_beta >= 0:
+                raise ConfigError(f"beta must be >= 0, got {self.profile_beta}")
         if self.kind == "tabulated" and self.table is None:
             raise ConfigError("tabulated drift needs a table")
 
@@ -179,22 +182,28 @@ def tabulated_drift(table: TabulatedField) -> DriftSpec:
     return DriftSpec(kind="tabulated", table=table)
 
 
-def _separable(drift: DriftSpec, x: np.ndarray, v: np.ndarray):
-    """The factors (f(x), g(v)) of a field b = f * g, or None if b does not factor.
+def _separable(drift: DriftSpec):
+    """In-place evaluators (f, g) of the factors of b = f(x) g(v), or None.
 
     Only oscillatory_singular factors: f = sign(sin(kappa x)) and
-    g = min(|v|, 1)^beta.  The factors overwrite `x` and `v`, which must be
-    writable float64 arrays; a kind that does not factor leaves them alone.
+    g = min(|v|, 1)^beta.  Each evaluator overwrites its argument, which must
+    be a writable float64 array, with the factor's values and returns it.
     """
     if drift.kind != "oscillatory_singular":
         return None
-    np.multiply(x, drift.kappa, out=x)
-    np.sin(x, out=x)
-    np.sign(x, out=x)
-    np.abs(v, out=v)
-    np.minimum(v, 1.0, out=v)
-    v **= drift.profile_beta
-    return x, v
+
+    def f(x):
+        np.multiply(x, drift.kappa, out=x)
+        np.sin(x, out=x)
+        return np.sign(x, out=x)
+
+    def g(v):
+        np.abs(v, out=v)
+        np.minimum(v, 1.0, out=v)
+        v **= drift.profile_beta
+        return v
+
+    return f, g
 
 
 def evaluate_arrays(drift: DriftSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -217,8 +226,8 @@ def evaluate_arrays(drift: DriftSpec, x: np.ndarray, v: np.ndarray) -> np.ndarra
     if drift.kind == "sign_velocity":
         return np.sign(v)
     if drift.kind == "oscillatory_singular":
-        f, g = _separable(drift, x.copy(), v.copy())
-        return f * g
+        f, g = _separable(drift)
+        return f(x.copy()) * g(v.copy())
     if drift.kind == "tabulated":
         if v.shape[-1] != 1:
             raise DomainError("tabulated drift supports d = 1 only")
@@ -315,25 +324,38 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
 
     Both quadrature kinds have b_i depending on (x_i, v_i) only, so the
     2d-dimensional convolution factorizes into one 2-D quadrature per
-    component.  Per component the states are taken in chunks of
-    _CHUNK_BLOCKS blocks, whose (chunk, P) position and velocity offsets are
-    formed once into two reused buffers, and each chunk in blocks of at most
-    _BLOCK_POINTS grid points: per block the (block, P, P) point values are
-    weighted in place and summed over the grid, so the product stays in cache
-    instead of streaming (..., P, P) temporaries through memory.  No buffer
-    grows with the number of states.
+    component.  For a field that factors, a v that repeats over leading axes
+    (a zero-stride view, as the shifted sub-step quadrature passes it) is
+    taken as its distinct velocities, each repeated over those axes; other
+    kinds take every state as distinct.  Per component the distinct
+    velocities are taken in chunks of _CHUNK_BLOCKS blocks, whose (chunk, P)
+    velocity offsets are formed once into a reused buffer, and for each
+    repeat the matching states' position offsets into another.  The
+    grid sums run in blocks of at most _BLOCK_POINTS grid points: per block
+    the (block, P, P) point values are weighted in place and summed over the
+    grid, so the product stays in cache instead of streaming (..., P, P)
+    temporaries through memory.  No buffer grows with the number of states.
 
-    A field that factors as f(x) g(v) (`_separable`) has f and g evaluated
-    once on the P offsets of each axis, and each block's grid is their outer
-    product, written by einsum into one reused buffer.  einsum forms a*b + 0,
-    which differs from the a*b of `evaluate_arrays` only by turning -0.0 into
-    +0.0; f and g each vanish at most once per state, so every signed zero
-    meets non-zero terms in the grid sum and cannot change it.  Other kinds
-    evaluate b on the broadcast offsets.  Either way every point value, weighted product
-    and per-state sum is the one the whole-array product would give, since
-    each state's sum reads only its own contiguous (P, P) slab in the same
-    order, so the bits depend neither on the block or chunk size nor on the
-    route.  The result is C-ordered whatever the layout of `v`.
+    A field that factors as f(x) g(v) (`_separable`) has f evaluated once on
+    each state's P position offsets and g once on each distinct velocity's P
+    offsets, and a block's grid is their outer product, written by einsum
+    into one reused buffer.  einsum forms a*b + 0, which differs from the a*b
+    of `evaluate_arrays` only by turning -0.0 into +0.0; f and g each vanish
+    at most once per state, so every signed zero meets non-zero terms in the
+    grid sum and cannot change it.  Where v repeats, the weighted grid
+    g_b ws_a ws_b of each distinct velocity is summed once into S(v), and a
+    state whose f is the same s = +1 or -1 on all P offsets gets s * S(v)
+    with no grid of its own: its grid values are s g_b ws_a ws_b exactly,
+    and round-to-nearest is symmetric in sign, so the grid sum of -a is -1
+    times the grid sum of a bit for bit (g >= +0, so no two zeros of
+    opposite sign meet in S, and the zeros of one column again meet
+    non-zero terms).  Only states whose f is not constant, or is 0 or NaN,
+    build their grid.  Other kinds evaluate b on the broadcast offsets.
+    Either way every point value, weighted product and per-state sum is the
+    one the whole-array product would give, since each state's sum reads
+    only its own contiguous (P, P) slab in the same order, so the bits
+    depend neither on the block or chunk size nor on the route.  The result
+    is C-ordered whatever the layout of `v`.
     """
     points = md.quad_points
     ys, _ = _hermite_rule(points)
@@ -341,33 +363,75 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
     yv = ys * md.sigma_v  # offsets in v
     shape = np.broadcast_shapes(x.shape, v.shape)
     d = shape[-1]
+    out = np.empty(shape)
+    if out.size == 0:
+        return out
+    out = out.reshape(-1, d)
     xf = np.broadcast_to(x, shape).reshape(-1, d)
-    vf = np.broadcast_to(v, shape).reshape(-1, d)
-    states = xf.shape[0]
-    out = np.empty(xf.shape)
+    vb = np.broadcast_to(v, shape)
+    factors = _separable(md.base)
+    lead = 0  # leading axes over which v repeats, where b factors
+    while (factors is not None and lead < len(shape) - 1
+           and (vb.strides[lead] == 0 or shape[lead] == 1)):
+        lead += 1
+    vf = vb[(0,) * lead].reshape(-1, d)
+    states, distinct = xf.shape[0], vf.shape[0]
+    shared = states > distinct
     block = max(1, _BLOCK_POINTS // points**2)
     chunk = block * _CHUNK_BLOCKS
     grid = np.empty((min(block, states), points, points))
     weights = _weight_grid(points, block)
-    xbuf = np.empty((min(chunk, states), points))
+    xbuf = np.empty((min(chunk, distinct), points))
     vbuf = np.empty_like(xbuf)
+    sums = np.empty(xbuf.shape[0])
+
+    # The last block's values outlive grid_sums: freeing evaluate_arrays'
+    # result at the end of every chunk lets malloc trim the heap, and the next
+    # chunk's temporaries then fault their pages in afresh.
+    vals = None
+
+    def grid_sums(a, b, dst):
+        # per block, the weighted grid sums of the states whose P position and
+        # velocity offsets (or f and g on them) are the rows of a and b
+        nonlocal vals
+        for lo in range(0, len(a), block):
+            hi = min(lo + block, len(a))
+            if factors is None:
+                vals = evaluate_arrays(md.base, a[lo:hi, :, None, None],
+                                       b[lo:hi, None, :, None])[..., 0]
+            else:
+                vals = np.einsum("ia,ib->iab", a[lo:hi], b[lo:hi], out=grid[:hi - lo])
+            vals *= weights[:hi - lo]
+            np.add.reduce(vals.reshape(hi - lo, -1), axis=1, out=dst[lo:hi])
+
     for i in range(d):
-        for start in range(0, states, chunk):
-            rows = min(chunk, states - start)
-            xi = np.subtract(xf[start:start + rows, i, None], yx, out=xbuf[:rows])
-            vi = np.subtract(vf[start:start + rows, i, None], yv, out=vbuf[:rows])
-            factors = _separable(md.base, xi, vi)
-            for lo in range(0, rows, block):
-                hi = min(lo + block, rows)
-                if factors is None:
-                    vals = evaluate_arrays(md.base, xi[lo:hi, :, None, None],
-                                           vi[lo:hi, None, :, None])[..., 0]
-                else:
-                    f, g = factors
-                    vals = np.einsum("ia,ib->iab", f[lo:hi], g[lo:hi], out=grid[:hi - lo])
-                vals *= weights[:hi - lo]
-                np.add.reduce(vals.reshape(hi - lo, -1), axis=1,
-                              out=out[start + lo:start + hi, i])
+        for j0 in range(0, distinct, chunk):
+            rows = min(chunk, distinct - j0)
+            b = np.subtract(vf[j0:j0 + rows, i, None], yv, out=vbuf[:rows])
+            if factors is not None:
+                b = factors[1](b)
+            summed = False
+            for start in range(j0, states, distinct):
+                a = np.subtract(xf[start:start + rows, i, None], yx, out=xbuf[:rows])
+                dst = out[start:start + rows, i]
+                rest = None
+                if factors is not None:
+                    a = factors[0](a)
+                if shared:
+                    # f sums to +-P only where it is +1 or -1 on every offset
+                    const = np.abs(np.add.reduce(a, axis=1)) == points
+                    if const.any():
+                        if not summed:  # S(v): the grid sum where f = +1
+                            grid_sums(np.broadcast_to(1.0, b.shape), b, sums[:rows])
+                            summed = True
+                        np.multiply(a[:, 0], sums[:rows], out=dst)
+                        rest = np.flatnonzero(~const)
+                if rest is None:
+                    grid_sums(a, b, dst)
+                elif rest.size:
+                    part = np.empty(rest.size)
+                    grid_sums(a[rest], b[rest], part)
+                    dst[rest] = part
     return out.reshape(shape)
 
 

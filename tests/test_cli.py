@@ -57,6 +57,24 @@ def test_load_config_rejects_default_section(tmp_path):
         load_config(path, "simulate")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[strong-rate]\ntheta = 0.5\ntheta = 0.4\n",
+     "config key 'theta' appears twice in [strong-rate] (line 3)"),
+    ("[strong-rate]\ntheta = 0.5\n[strong-rate]\nn_ref = 8\n",
+     "config section [strong-rate] appears twice (line 3)"),
+    ("theta = 0.5\n[strong-rate]\n", "config line 1 comes before any [section] header"),
+    ("[strong-rate]\ngarbage\n", "config line 2 is not a 'key = value' pair"),
+], ids=["duplicate-key", "duplicate-section", "no-header", "no-equals"])
+def test_malformed_config_file_exits_two(tmp_path, capsys, text, message):
+    path = _write(tmp_path / "bad.ini", text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path, "strong-rate")
+    out = str(tmp_path / "r")
+    assert main(["strong-rate", "--config", path, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_config_precedence(tmp_path):
     path = _write(tmp_path / "cfg.ini", "[common]\nseed = 5\n[simulate]\nn = 16\n")
     file_values = load_config(path, "simulate")
@@ -317,6 +335,12 @@ _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
                  "horizon must be a whole number of steps at n=8", id="horizon-off-grid-weak"),
     pytest.param("simulate", "horizon = 0.3\n", [],
                  "horizon must be a whole number of steps at n=8", id="horizon-off-grid-simulate"),
+    pytest.param("strong-rate", "drift = oscillatory_singular\nkappa = nan\n", [],
+                 "kappa must be finite", id="kappa-nan"),
+    pytest.param("strong-rate", "drift = oscillatory_singular\nkappa = inf\n", [],
+                 "kappa must be finite", id="kappa-inf"),
+    pytest.param("strong-rate", "drift = oscillatory_singular\nbeta = -0.5\n", [],
+                 "beta must be >= 0", id="beta-negative"),
 ])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, message):
     # `message` starts with the key and must start a word of the error, so

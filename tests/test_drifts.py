@@ -196,6 +196,44 @@ def test_separable_route_keeps_zero_offsets_and_nan():
     assert np.count_nonzero(np.isnan(got)) == 2
 
 
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_constant_sign_states_match_unblocked_oracle(monkeypatch, block):
+    # Where v repeats over the leading axis, a state whose f = sign(sin kappa x)
+    # is the same +1 or -1 on all 64 position offsets takes s * S(v), the sum
+    # of its velocity's weighted grid; every other state builds its own grid.
+    # Neither route, nor a materialised v that takes no sums, may move a bit.
+    monkeypatch.setattr(drifts, "_BLOCK_POINTS", block * 64 * 64)
+    md = MollifiedDrift(oscillatory_singular(3.0, 0.25), 64, 0.5)
+    ys, _ = drifts._hermite_rule(md.quad_points)
+    rng = np.random.default_rng(7)
+    v = 0.5 * rng.normal(size=(37, 2))
+    v[:5, 1] = ys[[3, 20, 31, 50, 63]] * md.sigma_v  # g(0) = +0 on one offset
+    v[36, 0] = np.nan  # S(v) is NaN, and s * S(v) must keep the grid route's NaN
+    x = np.empty((5, 37, 2))
+    x[0] = rng.uniform(0.5, 0.6, size=(37, 2))  # sin 3x > 0 on every offset
+    x[1] = -x[0]  # f = -1 on every offset, meeting g(0) = 0 in component 1
+    x[2] = rng.uniform(-0.01, 0.01, size=(37, 2)) + math.pi / 3  # straddles a zero
+    x[3] = ys[rng.integers(64, size=(37, 2))] * md.sigma_x  # f = 0 on one offset
+    x[4] = rng.normal(size=(37, 2))
+    x[4, 0, 0], x[4, 1, 1] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        f = np.sign(np.sin(md.base.kappa * (x[..., None] - ys * md.sigma_x)))
+        sums = np.add.reduce(f, axis=-1)
+    assert np.all(sums[0] == 64) and np.all(sums[1] == -64)
+    assert not np.any(np.abs(sums[2:4]) == 64)
+    assert np.count_nonzero(f[3] == 0) == 74
+    assert 0 < np.count_nonzero(np.abs(sums[4]) == 64) < 74  # some of each
+    vb = np.broadcast_to(v, x.shape)
+    with np.errstate(invalid="ignore"):
+        got = mollify_evaluate_arrays(md, x, vb)
+        want = _unblocked_quadrature(md, x, vb, 64)
+        materialised = mollify_evaluate_arrays(md, x, vb.copy())
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == materialised.tobytes()
+    assert np.isnan(got[4, 0, 0]) and np.isnan(got[4, 1, 1]) and np.all(np.isnan(got[:, 36, 0]))
+    assert np.count_nonzero(np.isnan(got)) == 7
+
+
 def test_blocked_quadrature_keeps_extrapolation_error():
     table = TabulatedField(np.linspace(-1, 1, 5), np.linspace(-6, 6, 5), np.zeros((5, 5)))
     md = mollify(tabulated_drift(table), 16, 0.5)
