@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from ._rng import ROLE_SIMULATE, stream_key
 from ._steppers import backend_name
-from .drifts import _check_int, drift_from_name, mollify
+from .drifts import _check_int, _drift_params, drift_from_name, mollify
 from .errors import ConfigError, KineticEmError
 from .integrator import integrate, trajectory_to_csv
 from .kernel import (
@@ -54,6 +54,7 @@ from .rates import (
     taming_demo,
     tv_proxy,
     weak_error,
+    worker_count,
 )
 
 SUBCOMMANDS = (
@@ -269,8 +270,24 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
+def _resolve_drift_config(cfg: dict, file_values: dict) -> None:
+    """Reject drift keys the config file sets that the named drift does not take;
+    add a tabulated drift's table sha256 to cfg as `table_sha256`.
+
+    Only keys the file sets are checked: strong-rate's default gamma serves
+    its default drift and must not fail an oscillatory run.  With the table's
+    bytes in the config hash, an edited table gets its own run directory.
+    """
+    if "drift" not in cfg:
+        return
+    _drift_params(cfg["drift"], [k for k in _DRIFT_PARAM_KEYS if k in file_values])
+    if cfg["drift"] == "tabulated" and cfg["table_path"] is not None:
+        with open(cfg["table_path"], "rb") as fh:
+            cfg["table_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+
+
 def _drift_from_config(cfg: dict):
-    params = {k: cfg[k] for k in _DRIFT_PARAM_KEYS if cfg.get(k) is not None}
+    params = {k: cfg[k] for k in _drift_params(cfg["drift"]) if cfg.get(k) is not None}
     if "c" in params:
         c = params["c"]
         params["c"] = c[0] if len(c) == 1 else c
@@ -597,6 +614,7 @@ def main(argv=None) -> int:
         cfg = effective_config(sub, file_values, flags)
         if not 0 <= cfg["seed"] < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg['seed']}")
+        _resolve_drift_config(cfg, file_values)
         threads = resolve_threads(cfg.get("threads"))
         digest = config_hash(cfg)
 
@@ -622,7 +640,8 @@ def main(argv=None) -> int:
             "telemetry": {"backend": backend_name(),
                           "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                                        "mpmath": mpmath.__version__},
-                          "threads": threads,
+                          "threads": worker_count(threads),
+                          "threads_requested": threads,
                           # ru_maxrss is in kilobytes on Linux
                           "peak_rss_mb":
                               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},

@@ -37,8 +37,15 @@ __all__ = [
     "save_tabulated",
 ]
 
-_KINDS = ("zero", "constant", "linear_friction", "sign_velocity",
-          "oscillatory_singular", "tabulated")
+# each drift kind, with the configuration keys it takes
+_DRIFT_PARAMS = {
+    "zero": (),
+    "constant": ("c",),
+    "linear_friction": ("gamma",),
+    "sign_velocity": (),
+    "oscillatory_singular": ("kappa", "beta"),
+    "tabulated": ("table_path",),
+}
 
 # Closed-form mollifications exist exactly for these kinds; they also depend
 # on z only through v, so the transport shift acts trivially on them.
@@ -130,8 +137,9 @@ class DriftSpec:
     p_label: tuple[float, float] | None = field(default=None)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown drift kind {self.kind!r}; choose from {_KINDS}")
+        if self.kind not in _DRIFT_PARAMS:
+            raise ConfigError(
+                f"unknown drift kind {self.kind!r}; choose from {tuple(_DRIFT_PARAMS)}")
         if self.kind == "linear_friction" and not self.gamma >= 0:
             raise ConfigError(f"friction coefficient must be >= 0, got {self.gamma}")
         if self.kind == "oscillatory_singular":
@@ -456,9 +464,23 @@ def mollify_evaluate_arrays(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) ->
     return _quadrature_eval(md, x, v)
 
 
-def drift_from_name(name: str, **params) -> DriftSpec:
-    """Construct a catalog drift from its configuration name."""
+def _drift_params(name: str, given=()) -> tuple[str, ...]:
+    """The keys the drift `name` takes; ConfigError for any key of `given` it does not."""
     name = name.strip()
+    takes = _DRIFT_PARAMS.get(name)
+    if takes is None:
+        raise ConfigError(f"unknown drift name {name!r}")
+    for key in given:
+        if key not in takes:
+            raise ConfigError(f"key {key!r} does not apply to drift {name}, which takes "
+                              f"{', '.join(takes) or 'no keys'}")
+    return takes
+
+
+def drift_from_name(name: str, **params) -> DriftSpec:
+    """Construct a catalog drift from its configuration name and keys."""
+    name = name.strip()
+    _drift_params(name, params)
     if name == "zero":
         return zero_drift()
     if name == "constant":
@@ -469,13 +491,11 @@ def drift_from_name(name: str, **params) -> DriftSpec:
         return sign_velocity()
     if name == "oscillatory_singular":
         return oscillatory_singular(params.get("kappa", 3.0), params.get("beta", 0.25))
-    if name == "tabulated":
-        path = params.get("table_path")
-        if path is None:
-            raise ConfigError("tabulated drift needs table_path")
-        with open(path, "r", encoding="utf-8") as fh:
-            return tabulated_drift(load_tabulated(fh))
-    raise ConfigError(f"unknown drift name {name!r}")
+    path = params.get("table_path")
+    if path is None:
+        raise ConfigError("tabulated drift needs table_path")
+    with open(path, "r", encoding="utf-8") as fh:
+        return tabulated_drift(load_tabulated(fh))
 
 
 def save_tabulated(table: TabulatedField, fh: TextIO) -> None:

@@ -332,12 +332,33 @@ def exact_linear_solve(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _time_text(times: bytes) -> tuple[str, ...]:
+    """repr of each float64 in `times`, the raw bytes of a time column.
+
+    Every path of a simulate run shares its grid times, so their text is
+    formed once.  The bytes key tells -0.0 from 0.0 and matches NaN.
+    """
+    return tuple(map(repr, np.frombuffer(times).tolist()))
+
+
 def trajectory_to_csv(traj: Trajectory, fh: TextIO) -> None:
-    """Write t, x_1..x_d, v_1..v_d rows with provenance comment lines."""
+    """Write t, x_1..x_d, v_1..v_d rows with provenance comment lines.
+
+    Each value is written as its float repr.  The body is one %-format of a
+    flat tuple of the values, row after row; the time text is reused across
+    trajectories on the same grid.  The text is the same, byte for byte, as
+    joining the reprs of each row.
+    """
     for key in sorted(traj.provenance):
         fh.write(f"# {key}={traj.provenance[key]}\n")
     d = traj.d
     cols = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"v_{i+1}" for i in range(d)]
     fh.write(",".join(cols) + "\n")
-    rows = np.column_stack([traj.times, traj.x, traj.v]).tolist()
-    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    width = 1 + 2 * d
+    items = [None] * (len(traj) * width)
+    items[::width] = _time_text(traj.times.tobytes())
+    for i in range(d):
+        items[1 + i::width] = traj.x[:, i].tolist()
+        items[1 + d + i::width] = traj.v[:, i].tolist()
+    fh.write((("%s" + ",%r" * (2 * d) + "\n") * len(traj)) % tuple(items))

@@ -14,6 +14,7 @@ module constants, and the results do not depend on them either.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,14 +71,27 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
+def worker_count(threads: int) -> int:
+    """Workers that `threads` requested threads run on: at most the usable CPUs.
+
+    More threads than CPUs only contend for them; chunks are keyed by stream
+    index, so the count cannot change an output bit.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus)
+
+
 def _run_streams(grid: GridSpec, seed: int, role: int, tag: int, count: int,
                  chunk: int, threads: int, work) -> None:
     """Sample streams (role, tag, s), s < count, chunk by chunk; call work(lo, hi, dw, di).
 
     Each chunk's increments are drawn once on `grid` and handed to `work`,
     which writes only to rows lo..hi-1 of preallocated arrays, so the
-    chunks can run in any order: on a pool of `threads` workers when
-    threads > 1.
+    chunks can run in any order: on a pool of worker_count(threads) workers
+    when threads > 1, even if that pool has a single worker.
     """
     def run(lo: int) -> None:
         hi = min(lo + chunk, count)
@@ -89,7 +103,7 @@ def _run_streams(grid: GridSpec, seed: int, role: int, tag: int, count: int,
         for lo in starts:
             run(lo)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
         for _ in pool.map(run, starts):
             pass
 

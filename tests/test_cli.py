@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import io
 import json
 import os
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 import scipy
 
-from kinetic_em import backend_name, cli
+from kinetic_em import backend_name, cli, rates
 from kinetic_em.cli import config_hash, effective_config, load_config, main
+from kinetic_em.drifts import TabulatedField, save_tabulated
 from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.paths import GridSpec, prefix_integrals, sample_path
+from kinetic_em.rates import worker_count
 from kinetic_em._rng import ROLE_SIMULATE, stream_key
 
 
@@ -117,6 +120,7 @@ def test_simulate_zero_drift_matches_free_flow(tmp_path):
         "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                      "mpmath": mpmath.__version__},
         "threads": 1,
+        "threads_requested": 1,
         "peak_rss_mb": telemetry["peak_rss_mb"],
     }
     assert isinstance(telemetry["peak_rss_mb"], float) and telemetry["peak_rss_mb"] > 0
@@ -254,7 +258,36 @@ def test_thread_count_does_not_change_outputs(tmp_path):
     m8 = _manifest(_run_dir(out8, "strong-rate"))
     assert m1["outputs"] == m8["outputs"]
     assert m1["config_hash"] == m8["config_hash"]
-    assert (m1["telemetry"]["threads"], m8["telemetry"]["threads"]) == (1, 8)
+    assert (m1["telemetry"]["threads_requested"], m8["telemetry"]["threads_requested"]) == (1, 8)
+    assert (m1["telemetry"]["threads"], m8["telemetry"]["threads"]) == (1, worker_count(8))
+    assert 1 <= worker_count(8) <= 8
+
+
+def test_threads_beyond_usable_cpus_run_on_fewer_workers(tmp_path, monkeypatch):
+    cfg = _write(tmp_path / "cfg.ini", (
+        "[weak-rate]\ndrift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 1200\n"
+    ))
+    out1, out4 = str(tmp_path / "t1"), str(tmp_path / "t4")
+    assert main(["weak-rate", "--config", cfg, "--threads", "1", "--out", out1]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    pools = []
+    executor = rates.ThreadPoolExecutor
+
+    def recording_executor(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(rates, "ThreadPoolExecutor", recording_executor)
+    assert main(["weak-rate", "--config", cfg, "--threads", "4", "--out", out4]) == 0
+    # a pool of one worker still runs the executor path
+    assert pools and set(pools) == {1}
+    run1, run4 = _run_dir(out1, "weak-rate"), _run_dir(out4, "weak-rate")
+    for name in ("rates.csv", "detail.csv"):
+        with open(os.path.join(run1, name), "rb") as a, open(os.path.join(run4, name), "rb") as b:
+            assert a.read() == b.read(), name
+    m4 = _manifest(run4)
+    assert m4["outputs"] == _manifest(run1)["outputs"]
+    assert (m4["telemetry"]["threads"], m4["telemetry"]["threads_requested"]) == (1, 4)
 
 
 def test_simulate_failing_midway_leaves_no_output_directory(tmp_path, monkeypatch):
@@ -341,6 +374,17 @@ _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
                  "kappa must be finite", id="kappa-inf"),
     pytest.param("strong-rate", "drift = oscillatory_singular\nbeta = -0.5\n", [],
                  "beta must be >= 0", id="beta-negative"),
+    pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nkappa = 3.0\n", [],
+                 "key 'kappa' does not apply to drift sign_velocity", id="sign-kappa"),
+    pytest.param("strong-rate", "drift = linear_friction\nbeta = 0.25\n", [],
+                 "key 'beta' does not apply to drift linear_friction", id="friction-beta"),
+    pytest.param("simulate", "drift = oscillatory_singular\ngamma = 1.0\n", [],
+                 "key 'gamma' does not apply to drift oscillatory_singular",
+                 id="oscillatory-gamma"),
+    pytest.param("weak-rate", "drift = zero\nc = 1.0\n", [],
+                 "key 'c' does not apply to drift zero", id="zero-c"),
+    pytest.param("tv-proxy", "drift = constant\ntable_path = field.csv\n", [],
+                 "key 'table_path' does not apply to drift constant", id="constant-table"),
 ])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, message):
     # `message` starts with the key and must start a word of the error, so
@@ -350,3 +394,42 @@ def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flag
     assert main([sub, "--config", cfg, "--out", out, *flags]) == 2
     assert re.search(r"\b" + re.escape(message), capsys.readouterr().err)
     assert not os.path.exists(out)
+
+
+def test_oscillatory_strong_rate_runs_with_the_default_gamma(tmp_path):
+    # strong-rate's gamma = 1.0 default serves linear_friction; it is not a
+    # key the config file sets, so an oscillatory run must not trip on it
+    cfg = _write(tmp_path / "cfg.ini", (
+        "[strong-rate]\ndrift = oscillatory_singular\nkappa = 3.0\nreference = self\n"
+        "levels = 4, 8\nn_ref = 16\nsamples = 100\nbootstrap = 10\n"
+    ))
+    out = str(tmp_path / "r")
+    assert main(["strong-rate", "--config", cfg, "--out", out]) == 0
+    assert _manifest(_run_dir(out, "strong-rate"))["config"]["gamma"] == "1.0"
+
+
+def test_tabulated_table_contents_enter_the_config_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    xs = np.linspace(-40.0, 40.0, 9)
+    table = TabulatedField(xs, xs, -0.5 * np.broadcast_to(xs, (9, 9)))
+    with open("field.csv", "w", encoding="utf-8") as fh:
+        save_tabulated(table, fh)
+    cfg = _write("cfg.ini", (
+        "[strong-rate]\ndrift = tabulated\ntable_path = field.csv\nreference = self\n"
+        "levels = 4, 8\nn_ref = 16\nsamples = 100\nbootstrap = 10\n"
+    ))
+    assert main(["strong-rate", "--config", cfg, "--out", "runs"]) == 0
+    table = TabulatedField(xs, xs, -0.25 * np.broadcast_to(xs, (9, 9)))
+    with open("field.csv", "w", encoding="utf-8") as fh:
+        save_tabulated(table, fh)
+    assert main(["strong-rate", "--config", cfg, "--out", "runs"]) == 0
+    runs = sorted(glob.glob(os.path.join("runs", "strong-rate-*")))
+    assert len(runs) == 2
+    rates_csv = []
+    for run in runs:
+        manifest = _manifest(run)
+        with open(os.path.join(run, "rates.csv"), "rb") as fh:
+            rates_csv.append(fh.read())
+        assert manifest["outputs"]["rates.csv"] == hashlib.sha256(rates_csv[-1]).hexdigest()
+        assert len(manifest["config"]["table_sha256"]) == 64
+    assert rates_csv[0] != rates_csv[1]

@@ -378,6 +378,8 @@ def test_drift_from_name():
     assert drift_from_name("oscillatory_singular", kappa=5.0).kappa == 5.0
     with pytest.raises(ConfigError):
         drift_from_name("brownian_banana")
+    with pytest.raises(ConfigError, match="key 'kappa' does not apply to drift sign_velocity"):
+        drift_from_name("sign_velocity", kappa=3.0)
     with pytest.raises(ConfigError):
         drift_from_name("tabulated")
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kinetic_em import _steppers
+from kinetic_em._rng import ROLE_SIMULATE, stream_key
 from kinetic_em._steppers import _numpy
 from kinetic_em.drifts import (
     TabulatedField,
@@ -26,6 +27,7 @@ from kinetic_em.drifts import (
 )
 from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.integrator import (
+    Trajectory,
     _legendre_rule,
     _shifted_drift_integrals,
     closed_form_code,
@@ -39,6 +41,7 @@ from kinetic_em.integrator import (
 )
 from kinetic_em.paths import (
     GridSpec,
+    coarsen,
     prefix_integrals,
     sample_increment_block,
     sample_path,
@@ -427,6 +430,59 @@ def test_trajectory_csv_roundtrip():
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1:3], traj.x)
     assert np.array_equal(data[:, 3:5], traj.v)
+
+
+def _csv_text(traj):
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    return buf.getvalue()
+
+
+def _csv_oracle(traj):
+    # the writer's former body: one repr per value and a join per row
+    head = "".join(f"# {key}={traj.provenance[key]}\n" for key in sorted(traj.provenance))
+    cols = (["t"] + [f"x_{i+1}" for i in range(traj.d)]
+            + [f"v_{i+1}" for i in range(traj.d)])
+    rows = np.column_stack([traj.times, traj.x, traj.v]).tolist()
+    return head + ",".join(cols) + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+
+
+def _simulate_sign_trajectory(n=256, horizon=1.0, sample_at=1024):
+    # one path of `simulate` with drift = sign_velocity and initial_v = 1
+    fine = sample_path(GridSpec(n=sample_at, horizon=horizon, d=1), 20260814,
+                       stream_key(ROLE_SIMULATE, 0))
+    md = mollify(sign_velocity(), n, 0.5, d=1)
+    return integrate(md, coarsen(fine, sample_at // n), ([0.0], [1.0]))
+
+
+_SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1]
+
+# sha256 of the CSV text, taken from the per-row repr/join writer
+_CSV_GOLDEN = {
+    "simulate-sign": "e655bfc6293c94860cc7751f773ecb7e230e3aa3d06fdb39e35d59ca61daf027",
+    "special": "ce8ce46d22fe0d559da28bc79febd079a76af59fdacc03f804e45e7dd3373810",
+}
+
+
+def test_trajectory_csv_golden_digests():
+    texts = {"simulate-sign": _csv_text(_simulate_sign_trajectory())}
+    special = np.array(_SPECIAL)
+    texts["special"] = _csv_text(Trajectory(
+        times=np.array([0.0, -0.0, 0.1, 1e-05, 1e16, 0.25, 0.5, 1.0]),
+        x=np.column_stack([special, special[::-1]]),
+        v=np.column_stack([special[::-1] * -1.0, special]),
+        provenance={"drift": "hand-built", "n": 8},
+    ))
+    digests = {k: hashlib.sha256(t.encode("ascii")).hexdigest() for k, t in texts.items()}
+    assert digests == _CSV_GOLDEN
+
+
+def test_trajectory_csv_time_column_is_keyed_by_value():
+    # grids of different lengths, a repeated grid and one with the same
+    # length but other times: each text must match the per-row oracle
+    for n, horizon in ((8, 1.0), (16, 1.0), (8, 1.0), (8, 2.0)):
+        traj = _simulate_sign_trajectory(n, horizon, sample_at=4 * n)
+        assert _csv_text(traj) == _csv_oracle(traj), (n, horizon)
 
 
 def test_resolve_initial():
