@@ -113,7 +113,8 @@ def main() -> None:
     for steps, paths, d in shapes:
         h, dw, di, x, v = workload(steps, paths, d)
         zeta = np.random.default_rng(1).normal(size=(steps, paths, d, 2))
-        t_np = run(lambda xs, vs: exact_linear_block(1.0, h, dw, di, zeta, xs, vs), x, v)
+        t_np = run(lambda xs, vs: exact_linear_block(1.0, h, dw, di, ((0, paths, zeta),),
+                                                     xs, vs), x, v)
         print(f"{'exact_linear':20s} {steps:6d} {paths:6d} {d:2d} "
               f"{steps * paths * d / t_np / 1e6:10.1f} {'-':>13s} {'-':>8s}")
     steps, paths, d = 4096, 256, 1

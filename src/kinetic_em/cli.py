@@ -86,14 +86,10 @@ def _as_bool(s):
 
 
 def _as_int_list(s):
-    if isinstance(s, (list, tuple)):
-        return tuple(int(v) for v in s)
     return tuple(int(tok) for tok in str(s).split(",") if tok.strip())
 
 
 def _as_float_list(s):
-    if isinstance(s, (list, tuple)):
-        return tuple(float(v) for v in s)
     return tuple(float(tok) for tok in str(s).split(",") if tok.strip())
 
 

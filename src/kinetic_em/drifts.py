@@ -122,9 +122,9 @@ class TabulatedField:
 class DriftSpec:
     """One catalog entry: an autonomous velocity field z -> b(z) in R^d.
 
-    `beta_label` and `p_label` are nominal regularity metadata used only for
-    report annotation and the taming-exponent admissibility check; nothing
-    numerical is derived from them.
+    `p_label` is nominal integrability metadata used only for the
+    taming-exponent and moment-order admissibility checks; nothing numerical
+    is derived from it.
     """
 
     kind: str
@@ -133,7 +133,6 @@ class DriftSpec:
     kappa: float = 3.0
     profile_beta: float = 0.25
     table: TabulatedField | None = None
-    beta_label: float | None = None
     p_label: tuple[float, float] | None = field(default=None)
 
     def __post_init__(self):
@@ -162,28 +161,28 @@ class DriftSpec:
 
 
 def zero_drift() -> DriftSpec:
-    return DriftSpec(kind="zero", beta_label=1.0)
+    return DriftSpec(kind="zero")
 
 
 def constant_drift(c) -> DriftSpec:
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if not np.all(np.isfinite(c)):
         raise DomainError("constant drift vector must be finite")
-    return DriftSpec(kind="constant", constant=tuple(float(ci) for ci in c), beta_label=1.0)
+    return DriftSpec(kind="constant", constant=tuple(float(ci) for ci in c))
 
 
 def linear_friction(gamma: float = 1.0) -> DriftSpec:
-    return DriftSpec(kind="linear_friction", gamma=float(gamma), beta_label=1.0)
+    return DriftSpec(kind="linear_friction", gamma=float(gamma))
 
 
 def sign_velocity() -> DriftSpec:
-    # Nominal regularity label of the velocity sign field; reporting only.
-    return DriftSpec(kind="sign_velocity", beta_label=0.25, p_label=(8.0, 4.0))
+    # Nominal integrability label of the velocity sign field; checks only.
+    return DriftSpec(kind="sign_velocity", p_label=(8.0, 4.0))
 
 
 def oscillatory_singular(kappa: float = 3.0, beta: float = 0.25) -> DriftSpec:
     return DriftSpec(kind="oscillatory_singular", kappa=float(kappa), profile_beta=float(beta),
-                     beta_label=0.25, p_label=(8.0, 4.0))
+                     p_label=(8.0, 4.0))
 
 
 def tabulated_drift(table: TabulatedField) -> DriftSpec:
@@ -277,7 +276,7 @@ class MollifiedDrift:
 
 
 def admissibility_bound(drift: DriftSpec, d: int) -> float | None:
-    """Upper bound on theta from the nominal (beta, p) label, None if unlabeled.
+    """Upper bound on theta from the nominal p label, None if unlabeled.
 
     The bound is 1 / (2 * (3d/p_x + d/p_v)), the dot product weighting the
     position exponent three times the velocity one.

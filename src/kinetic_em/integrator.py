@@ -39,7 +39,7 @@ from .drifts import (
 )
 from .errors import ConfigError, DomainError
 from .kernel import KernelCovariance, PhaseState, as_phase_state
-from .paths import AugmentedPath
+from .paths import _TILE_WORDS, AugmentedPath
 
 __all__ = [
     "Trajectory",
@@ -269,7 +269,7 @@ def exact_linear_block(
     h: float,
     dW: np.ndarray,
     dI: np.ndarray,
-    zeta: np.ndarray,
+    residuals,
     x: np.ndarray,
     v: np.ndarray,
     record_stride: int = 0,
@@ -277,23 +277,40 @@ def exact_linear_block(
     """Exact strong solution of the linear-friction system over a block of paths.
 
     Coupled to the augmented increments: per step the exact update noise is
-    its conditional mean given (dW, dI) plus a residual built from the unit
-    normals `zeta` of shape (steps, M, d, 2).  Driven by the same path this
-    is the coupled ground truth for strong-error runs.
+    its conditional mean given (dW, dI) plus a residual built from unit
+    normals.  Driven by the same path this is the coupled ground truth for
+    strong-error runs.
+
+    `residuals` yields (lo, hi, xi) tiles as `paths._normal_tiles` does: xi
+    holds the residual normals of columns lo..hi-1, shaped (steps, hi - lo,
+    d, 2), and the tiles cover columns 0..M-1 in order.  Each tile is used
+    before the next is drawn, so the caller's tile buffer may be reused.
     """
     a, c1, cmat, lmat, _ = ou_step_coefficients(gamma, h)
     x_rec, v_rec = record_buffers(dW, record_stride)
-    # the update noise does not depend on the state: form it for all steps at
-    # once, in place, summing left to right
-    scratch = np.empty_like(dW)
+    # The update noise does not depend on the state, so it is formed for all
+    # steps before stepping, each element summed left to right:
+    #   nv = (dW C00 + dI C01) + z0 L00,  nx = ((dW C10 + dI C11) + z0 L10) + z1 L11.
+    # The dI terms go over contiguous step ranges of about a tile and the
+    # residual terms tile by tile, so no temporary is block-sized.
     nv = np.multiply(dW, cmat[0, 0])
-    nv += np.multiply(dI, cmat[0, 1], out=scratch)
-    nv += np.multiply(zeta[..., 0], lmat[0, 0], out=scratch)
     nx = np.multiply(dW, cmat[1, 0])
-    nx += np.multiply(dI, cmat[1, 1], out=scratch)
-    nx += np.multiply(zeta[..., 0], lmat[1, 0], out=scratch)
-    nx += np.multiply(zeta[..., 1], lmat[1, 1], out=scratch)
-    del scratch
+    rows = max(1, _TILE_WORDS // max(dW[0].size, 1))
+    for k in range(0, dW.shape[0], rows):
+        rv, rx, di = nv[k:k + rows], nx[k:k + rows], dI[k:k + rows]
+        np.add(rv, di * cmat[0, 1], out=rv)
+        np.add(rx, di * cmat[1, 1], out=rx)
+    done = 0
+    for lo, hi, xi in residuals:
+        if lo != done:
+            raise ConfigError(f"residual tile starts at column {lo}, expected {done}")
+        tv, tx = nv[:, lo:hi], nx[:, lo:hi]
+        np.add(tv, xi[..., 0] * lmat[0, 0], out=tv)
+        np.add(tx, xi[..., 0] * lmat[1, 0], out=tx)
+        np.add(tx, xi[..., 1] * lmat[1, 1], out=tx)
+        done = hi
+    if done != dW.shape[1]:
+        raise ConfigError(f"residual tiles cover {done} of {dW.shape[1]} columns")
 
     def step(k):
         np.add(x, c1 * v, out=x)
@@ -309,24 +326,20 @@ def exact_linear_solve(
     gamma: float,
     initial: Initial | None,
     path: AugmentedPath,
-    residual_index: int | None = None,
 ) -> Trajectory:
     """Exact trajectory of the linear-friction system on the path's grid.
 
     The conditional residual normals come from a dedicated stream derived
-    from the path's seed and `residual_index` (default: the path's stream
-    index), so the solution is a deterministic function of the path identity.
+    from the path's seed and stream index, so the solution is a
+    deterministic function of the path identity.
     """
     g = path.grid
     steps = g.num_steps
-    if residual_index is None:
-        residual_index = path.stream_id & ((1 << 40) - 1)
-    zeta = normal_words(
-        path.seed, stream_key(ROLE_OU_RESIDUAL, residual_index), 2 * steps * g.d
-    ).reshape(steps, 1, g.d, 2)
+    residual = stream_key(ROLE_OU_RESIDUAL, path.stream_id & ((1 << 40) - 1))
+    xi = normal_words(path.seed, residual, 2 * steps * g.d).reshape(steps, 1, g.d, 2)
     return _run_path(
         path, initial,
-        lambda dw, di, x, v: exact_linear_block(gamma, g.h, dw, di, zeta, x, v,
+        lambda dw, di, x, v: exact_linear_block(gamma, g.h, dw, di, ((0, 1, xi),), x, v,
                                                 record_stride=1),
         drift=f"exact_linear(gamma={gamma!r})",
     )

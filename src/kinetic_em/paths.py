@@ -154,19 +154,6 @@ def _normal_tiles(seed: int, stream_ids, steps: int, d: int):
         yield lo, hi, tile[: hi - lo].reshape(hi - lo, steps, d, 2).transpose(1, 0, 2, 3)
 
 
-def stream_normals(seed: int, stream_ids, steps: int, d: int) -> np.ndarray:
-    """Unit normals of many streams, C-ordered with shape (steps, len(stream_ids), d, 2).
-
-    Column j holds stream j's normals exactly as sample_path draws them.  The
-    block is filled tile by tile, one transposed copy per tile, and is a pure
-    function of (seed, stream_ids, steps, d) whatever the caller's threading.
-    """
-    out = np.empty((steps, len(stream_ids), d, 2))
-    for lo, hi, xi in _normal_tiles(seed, stream_ids, steps, d):
-        out[:, lo:hi] = xi
-    return out
-
-
 def sample_increment_block(
     grid: GridSpec, seed: int, stream_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +161,7 @@ def sample_increment_block(
 
     Column j is bit for bit the (dW, dI) of sample_path(grid, seed,
     stream_ids[j]); the block layout just suits vectorized stepping.  The
-    streams are drawn tile by tile (see stream_normals) with one kernel pair
+    streams are drawn tile by tile (see _normal_tiles) with one kernel pair
     map per tile, so the output is a pure function of (grid, seed,
     stream_ids) whatever the caller's threading.
     """

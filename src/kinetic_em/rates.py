@@ -41,10 +41,10 @@ from .kernel import kernel_pair
 from .paths import (
     GridSpec,
     _check_horizon,
+    _normal_tiles,
     coarsen_block,
     prefix_integrals,
     sample_increment_block,
-    stream_normals,
 )
 
 # Below this, a level's error estimate counts as an exact reproduction
@@ -425,8 +425,8 @@ def strong_error(
             x = np.broadcast_to(x0, (hi - lo, d)).copy()
             v = np.broadcast_to(v0, (hi - lo, d)).copy()
             residuals = [stream_key(ROLE_OU_RESIDUAL, s) for s in range(lo, hi)]
-            zeta = stream_normals(seed, residuals, k_ref, d)
-            rx, rv = exact_linear_block(gamma, grid_ref.h, dw, di, zeta, x, v,
+            tiles = _normal_tiles(seed, residuals, k_ref, d)
+            rx, rv = exact_linear_block(gamma, grid_ref.h, dw, di, tiles, x, v,
                                         record_stride=stride)
             _check_finite(drift, n_ref, lo, x, v)
         else:

@@ -6,12 +6,13 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinetic_em import _steppers
+from kinetic_em import _steppers, paths
 from kinetic_em._rng import ROLE_SIMULATE, stream_key
 from kinetic_em._steppers import _numpy
 from kinetic_em.drifts import (
@@ -41,11 +42,11 @@ from kinetic_em.integrator import (
 )
 from kinetic_em.paths import (
     GridSpec,
+    _normal_tiles,
     coarsen,
     prefix_integrals,
     sample_increment_block,
     sample_path,
-    stream_normals,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -220,17 +221,51 @@ def test_vectorized_route_golden_digests():
         assert _sha256(outs) == _STEP_GOLDEN[kind], kind
 
 
-def test_exact_linear_block_golden_digest():
+def test_exact_linear_block_golden_digest(monkeypatch):
     g = GridSpec(n=32, d=2)
     dw, di = sample_increment_block(g, 20260814, range(8))
-    zeta = stream_normals(20260814, range(8), g.num_steps, g.d)
-    outs = []
-    for stride in (0, 1, 4):
-        x = np.zeros((8, 2))
-        v = np.linspace(-1.5, 1.5, 16).reshape(8, 2)
-        rec = exact_linear_block(1.0, g.h, dw, di, zeta, x, v, record_stride=stride)
-        outs += [x, v] + (list(rec) if stride else [])
-    assert _sha256(outs) == _EXACT_LINEAR_GOLDEN
+    # 128 words per stream: the default tiles hold all 8 streams, 128 gives
+    # one stream per tile and 384 tiles of 3, 3 and 2 streams
+    for tile_words in (paths._TILE_WORDS, 128, 384):
+        monkeypatch.setattr(paths, "_TILE_WORDS", tile_words)
+        outs = []
+        for stride in (0, 1, 4):
+            x = np.zeros((8, 2))
+            v = np.linspace(-1.5, 1.5, 16).reshape(8, 2)
+            tiles = _normal_tiles(20260814, range(8), g.num_steps, g.d)
+            rec = exact_linear_block(1.0, g.h, dw, di, tiles, x, v, record_stride=stride)
+            outs += [x, v] + (list(rec) if stride else [])
+        assert _sha256(outs) == _EXACT_LINEAR_GOLDEN, tile_words
+
+
+def test_exact_linear_block_holds_noise_and_records_only():
+    # 8 MB per fine array: beside nv, nx and the records the peak holds one
+    # tile of residual normals and tile-sized temporaries, not the
+    # (steps, M, d, 2) residual block or a block-sized scratch
+    g = GridSpec(n=4096, d=1)
+    rng = np.random.default_rng(6)
+    dw, di = rng.normal(size=(2, g.num_steps, 256, 1))
+    for stride in (0, 8):
+        x = np.zeros((256, 1))
+        v = np.zeros((256, 1))
+        records = 2 * dw.nbytes // stride if stride else 0
+        tiles = _normal_tiles(7, range(256), g.num_steps, g.d)
+        tracemalloc.start()
+        try:
+            exact_linear_block(1.0, g.h, dw, di, tiles, x, v, record_stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dw.nbytes + records + (1 << 20) < 3 * dw.nbytes, (stride, peak)
+
+
+def test_exact_linear_block_rejects_tiles_that_miss_columns():
+    g = GridSpec(n=8, d=1)
+    dw, di = sample_increment_block(g, 1, range(3))
+    xi = np.zeros((g.num_steps, 3, 1, 2))
+    for tiles in (((0, 2, xi[:, :2]),), ((1, 3, xi[:, 1:]),)):
+        with pytest.raises(ConfigError):
+            exact_linear_block(1.0, g.h, dw, di, tiles, np.zeros((3, 1)), np.zeros((3, 1)))
 
 
 def test_vectorized_route_keeps_signed_zeros(monkeypatch):
@@ -338,7 +373,7 @@ def test_exact_linear_velocity_variance():
     zeta = np.random.default_rng(4).standard_normal((g.num_steps, m, 1, 2))
     x = np.zeros((m, 1))
     v = np.zeros((m, 1))
-    exact_linear_block(gamma, g.h, dw, di, zeta, x, v)
+    exact_linear_block(gamma, g.h, dw, di, ((0, m, zeta),), x, v)
     target = (1.0 - math.exp(-2.0 * gamma)) / (2.0 * gamma)
     tol = 4.0 * target * math.sqrt(2.0 / m)
     assert abs(v[:, 0].var() - target) <= tol
@@ -404,7 +439,8 @@ def test_record_stride_keeps_every_stride_th_state(stepper):
     def run(stride):
         x, v = x0.copy(), v0.copy()
         if stepper == "exact_linear":
-            return exact_linear_block(1.0, g.h, dw, di, zeta, x, v, record_stride=stride)
+            return exact_linear_block(1.0, g.h, dw, di, ((0, 3, zeta),), x, v,
+                                      record_stride=stride)
         drift = sign_velocity() if stepper == "closed_form" else oscillatory_singular()
         md = mollify(drift, 12, 0.3, d=2)
         return step_block(md, g.h, dw, di, x, v, record_stride=stride)

@@ -14,13 +14,13 @@ from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.paths import (
     AugmentedPath,
     GridSpec,
+    _normal_tiles,
     coarsen,
     coarsen_block,
     increment_identity_report,
     prefix_integrals,
     sample_increment_block,
     sample_path,
-    stream_normals,
 )
 
 
@@ -247,7 +247,9 @@ def test_block_sampler_golden_digests(monkeypatch, tile_words):
     g = GridSpec(n=64, d=2)
     ids = [stream_key(ROLE_STRONG, i) for i in range(37)]
     dw, di = sample_increment_block(g, 20260814, ids)
-    xi = stream_normals(20260814, ids, g.num_steps, g.d)
+    # each tile is valid until the next is drawn, so keep a copy
+    xi = np.concatenate([t.copy() for _, _, t in _normal_tiles(20260814, ids, g.num_steps, g.d)],
+                        axis=1)
     assert xi.shape == (g.num_steps, len(ids), g.d, 2) and xi.flags.c_contiguous
     assert _sha256(dw) == _GOLDEN["dW"]
     assert _sha256(di) == _GOLDEN["dI"]
