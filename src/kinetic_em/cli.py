@@ -32,8 +32,8 @@ import scipy
 from . import __version__
 from ._rng import ROLE_SIMULATE, stream_key
 from ._steppers import backend_name
-from .drifts import _check_int, _drift_params, drift_from_name, mollify
-from .errors import ConfigError, KineticEmError
+from .drifts import _drift_params, drift_from_name, mollify
+from .errors import ConfigError, KineticEmError, check_int, check_real
 from .integrator import integrate, trajectory_to_csv
 from .kernel import (
     MixedExponent,
@@ -46,10 +46,10 @@ from .kernel import (
 )
 from .paths import GridSpec, coarsen, sample_path
 from .rates import (
+    _check_finite,
     default_test_functions,
     rate_report_summary,
     rate_report_to_csv,
-    resolve_threads,
     strong_error,
     taming_demo,
     tv_proxy,
@@ -82,7 +82,7 @@ def _as_bool(s):
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+    raise ValueError("expected a boolean")
 
 
 def _as_int_list(s):
@@ -96,7 +96,7 @@ def _as_float_list(s):
 # key -> (parser, default); a None default means "not set"
 _COMMON_SPEC = {
     "seed": (_as_int, 0),
-    "threads": (_as_int, None),
+    "threads": (_as_int, 1),
     "out": (_as_str, "runs"),
 }
 
@@ -229,10 +229,8 @@ def load_config(path: str, subcommand: str) -> dict:
             raise ConfigError(f"unknown config key {key!r} for subcommand {subcommand}")
         try:
             values[key] = parse(text)
-        except ConfigError:
-            raise
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
+            raise ConfigError(f"{key} has a bad value {text!r} ({exc})") from exc
     return values
 
 
@@ -291,15 +289,17 @@ def _drift_from_config(cfg: dict):
 
 
 def _initial_from_config(cfg: dict):
-    x, v = cfg.get("initial_x"), cfg.get("initial_v")
-    if x is None and v is None:
+    keys = ("initial_x", "initial_v")
+    if all(cfg.get(key) is None for key in keys):
         return None
-    d = cfg["d"]
-    x = tuple(x) if x is not None else (0.0,) * d
-    v = tuple(v) if v is not None else (0.0,) * d
-    if len(x) != d or len(v) != d:
-        raise ConfigError(f"initial_x/initial_v must have d={d} entries")
-    return PhaseState(x=x, v=v)
+    d = check_int("d", cfg["d"], 1)
+    state = []
+    for key in keys:
+        values = (0.0,) * d if cfg.get(key) is None else cfg[key]
+        if len(values) != d:
+            raise ConfigError(f"{key} must have d={d} entries, got {len(values)}")
+        state.append([check_real(key, value) for value in values])
+    return PhaseState(*state)
 
 
 class Check:
@@ -339,18 +339,17 @@ def _slope_checks(report, min_slope, max_slope_se, max_slope=None, tag="") -> li
 
 def cmd_simulate(cfg: dict, threads: int):
     drift = _drift_from_config(cfg)
-    n, d, horizon = _check_int("n", cfg["n"], 1), _check_int("d", cfg["d"], 1), cfg["horizon"]
-    grid = GridSpec(n=n, horizon=horizon, d=d)
+    grid = GridSpec(n=cfg["n"], horizon=cfg["horizon"], d=cfg["d"])
+    n, d, horizon = grid.n, grid.d, grid.horizon
     md = mollify(drift, n, cfg["theta"], d=d)
     initial = _initial_from_config(cfg)
     sample_at = cfg.get("sample_at")
     if sample_at is not None and (sample_at < n or sample_at % n):
-        raise ConfigError(f"sample_at={sample_at} must be a multiple of n={n}")
-    if cfg["paths"] < 1:
-        raise ConfigError(f"paths must be >= 1, got {cfg['paths']}")
+        raise ConfigError(f"sample_at must be a multiple of n={n}, got {sample_at}")
+    paths = check_int("paths", cfg["paths"], 1)
 
     def outputs():
-        for j in range(cfg["paths"]):
+        for j in range(paths):
             stream = stream_key(ROLE_SIMULATE, j)
             if sample_at is None or sample_at == n:
                 path = sample_path(grid, cfg["seed"], stream)
@@ -359,11 +358,12 @@ def cmd_simulate(cfg: dict, threads: int):
                                    cfg["seed"], stream)
                 path = coarsen(fine, sample_at // n)
             traj = integrate(md, path, initial, cfg["quad_order"])
+            _check_finite(drift, n, j, traj.x[-1:], traj.v[-1:])
             buf = io.StringIO()
             trajectory_to_csv(traj, buf)
             yield f"path_{j:04d}.csv", buf.getvalue()
 
-    summary = {"paths": cfg["paths"], "n": n, "drift": drift.drift_id}
+    summary = {"paths": paths, "n": n, "drift": drift.drift_id}
     return outputs(), [], summary
 
 
@@ -449,9 +449,7 @@ def cmd_taming_demo(cfg: dict, threads: int):
 
 
 def cmd_kernel_check(cfg: dict, threads: int):
-    probes, points = cfg["probes"], cfg["points"]
-    if probes < 1:
-        raise ConfigError(f"probes must be >= 1, got {probes}")
+    probes, points = check_int("probes", cfg["probes"], 1), cfg["points"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
 
@@ -611,7 +609,7 @@ def main(argv=None) -> int:
         if not 0 <= cfg["seed"] < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg['seed']}")
         _resolve_drift_config(cfg, file_values)
-        threads = resolve_threads(cfg.get("threads"))
+        threads = check_int("threads", cfg["threads"], 1)
         digest = config_hash(cfg)
 
         start = time.monotonic()

@@ -19,7 +19,7 @@ from typing import ClassVar, TextIO
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, DomainError, ExtrapolationError
+from .errors import ConfigError, DomainError, ExtrapolationError, check_int, check_real
 
 __all__ = [
     "DriftSpec",
@@ -61,14 +61,6 @@ _BLOCK_POINTS = 1 << 15
 # enough for malloc to recycle: whole-call offset arrays cost every call
 # hundreds of fresh page faults, whose price varies from run to run.
 _CHUNK_BLOCKS = 8
-
-
-def _check_int(name: str, value, minimum: int) -> int:
-    """An integer argument >= minimum as an int, or ConfigError naming the argument."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -139,13 +131,11 @@ class DriftSpec:
         if self.kind not in _DRIFT_PARAMS:
             raise ConfigError(
                 f"unknown drift kind {self.kind!r}; choose from {tuple(_DRIFT_PARAMS)}")
-        if self.kind == "linear_friction" and not self.gamma >= 0:
-            raise ConfigError(f"friction coefficient must be >= 0, got {self.gamma}")
+        if self.kind == "linear_friction":
+            check_real("gamma", self.gamma, 0)
         if self.kind == "oscillatory_singular":
-            if not math.isfinite(self.kappa):
-                raise ConfigError(f"kappa must be finite, got {self.kappa}")
-            if not self.profile_beta >= 0:
-                raise ConfigError(f"beta must be >= 0, got {self.profile_beta}")
+            check_real("kappa", self.kappa)
+            check_real("beta", self.profile_beta, 0)
         if self.kind == "tabulated" and self.table is None:
             raise ConfigError("tabulated drift needs a table")
 
@@ -167,7 +157,7 @@ def zero_drift() -> DriftSpec:
 def constant_drift(c) -> DriftSpec:
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if not np.all(np.isfinite(c)):
-        raise DomainError("constant drift vector must be finite")
+        raise DomainError(f"c must be finite, got {tuple(c.tolist())}")
     return DriftSpec(kind="constant", constant=tuple(float(ci) for ci in c))
 
 
@@ -221,9 +211,7 @@ def evaluate_arrays(drift: DriftSpec, x: np.ndarray, v: np.ndarray) -> np.ndarra
         return np.zeros_like(v)
     if drift.kind == "constant":
         c = np.asarray(drift.constant, dtype=np.float64)
-        if c.size == 1:
-            return np.broadcast_to(c, v.shape).copy()
-        if c.size != v.shape[-1]:
+        if c.size not in (1, v.shape[-1]):
             raise DomainError(
                 f"constant drift has length {c.size}, state dimension is {v.shape[-1]}"
             )
@@ -254,12 +242,8 @@ class MollifiedDrift:
     quad_points: ClassVar[int] = 64
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ConfigError(f"mollification resolution must be a positive integer, got {self.n}")
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ConfigError(f"taming exponent must be positive and finite, got {self.theta}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "theta", check_real("theta", self.theta, 0, strict=True))
 
     @property
     def sigma_x(self) -> float:
@@ -294,10 +278,10 @@ def mollify(drift: DriftSpec, n: int, theta: float, d: int = 1) -> MollifiedDrif
     """Build the mollified drift; rejects theta above the labeled admissibility bound."""
     md = MollifiedDrift(base=drift, n=n, theta=theta)
     bound = admissibility_bound(drift, d)
-    if bound is not None and theta >= bound:
+    if bound is not None and md.theta >= bound:
         raise ConfigError(
-            f"taming exponent {theta} violates the admissibility bound {bound:.4g} "
-            f"for drift {drift.drift_id} at d={d}"
+            f"theta must be below the admissibility bound {bound:.4g} "
+            f"for drift {drift.drift_id} at d={d}, got {md.theta}"
         )
     return md
 
@@ -468,7 +452,7 @@ def _drift_params(name: str, given=()) -> tuple[str, ...]:
     name = name.strip()
     takes = _DRIFT_PARAMS.get(name)
     if takes is None:
-        raise ConfigError(f"unknown drift name {name!r}")
+        raise ConfigError(f"drift must be one of {', '.join(_DRIFT_PARAMS)}, got {name!r}")
     for key in given:
         if key not in takes:
             raise ConfigError(f"key {key!r} does not apply to drift {name}, which takes "
@@ -492,7 +476,7 @@ def drift_from_name(name: str, **params) -> DriftSpec:
         return oscillatory_singular(params.get("kappa", 3.0), params.get("beta", 0.25))
     path = params.get("table_path")
     if path is None:
-        raise ConfigError("tabulated drift needs table_path")
+        raise ConfigError("table_path must be set for drift tabulated")
     with open(path, "r", encoding="utf-8") as fh:
         return tabulated_drift(load_tabulated(fh))
 

@@ -33,11 +33,10 @@ from ._rng import ROLE_OU_RESIDUAL, normal_words, stream_key
 from .drifts import (
     CLOSED_FORM_KINDS,
     MollifiedDrift,
-    _check_int,
     evaluate_arrays,
     mollify_evaluate_arrays,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int
 from .kernel import KernelCovariance, PhaseState, as_phase_state
 from .paths import _TILE_WORDS, AugmentedPath
 
@@ -142,7 +141,7 @@ def step_block(
     Gauss-Legendre nodes in the shift variable.  `quad_order` must be an
     integer >= 1 for every kind, so a bad value fails whichever route runs.
     """
-    quad_order = _check_int("quad_order", quad_order, 1)
+    quad_order = check_int("quad_order", quad_order, 1)
     x_rec, v_rec = record_buffers(dW, record_stride)
     code = closed_form_code(md, dW.shape[2])
     if code is not None:

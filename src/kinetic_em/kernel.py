@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int
 
 __all__ = [
     "PhaseState",
@@ -244,8 +244,7 @@ def kernel_grid(t: float, points: int = 257) -> PhaseGrid1D:
     node count per axis, must be at least 2.
     """
     t = _check_time(t)
-    if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points}")
+    points = check_int("points", points, 2)
     sx = math.sqrt(t**3 / 3.0)
     sv = math.sqrt(t)
     x, wx = _trapezoid_axis(_RADIUS_SDS * sx, points)

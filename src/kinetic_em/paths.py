@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import ROLE_INCREMENT_CHECK, normal_words, stream_key
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int, check_real
 from .kernel import KernelCovariance, kernel_pair
 
 __all__ = [
@@ -32,18 +32,17 @@ __all__ = [
 
 
 def _check_horizon(name: str, horizon, n: int) -> float:
-    """A horizon that is a whole number of steps 1/n, as a float.
+    """A horizon that is a whole number, at least one, of steps 1/n, as a float.
 
     Otherwise ConfigError naming the key the horizon came from and the n.
     """
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ConfigError(f"{name} must be positive and finite, got {horizon}")
+    horizon = check_real(name, horizon, 0, strict=True)
     steps = n * horizon
-    if abs(steps - round(steps)) > 1e-9:
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
         raise ConfigError(
             f"{name} must be a whole number of steps at n={n}, got n * {name} = {steps}"
         )
-    return float(horizon)
+    return horizon
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,10 @@ class GridSpec:
     d: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ConfigError(f"n must be a positive integer, got {self.n}")
-        horizon = _check_horizon("horizon", self.horizon, self.n)
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ConfigError(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "d", int(self.d))
+        n = check_int("n", self.n, 1)
+        object.__setattr__(self, "horizon", _check_horizon("horizon", self.horizon, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", check_int("d", self.d, 1))
 
     @property
     def h(self) -> float:
@@ -204,9 +199,7 @@ def coarsen(path: AugmentedPath, factor: int) -> AugmentedPath:
 
     `factor` must divide both the step count and n.
     """
-    if not (isinstance(factor, (int, np.integer)) and factor >= 1):
-        raise ConfigError(f"coarsening factor must be a positive integer, got {factor}")
-    factor = int(factor)
+    factor = check_int("factor", factor, 1)
     if factor == 1:
         return path
     k, d = path.grid.num_steps, path.grid.d
@@ -287,8 +280,7 @@ def increment_identity_report(
     seed: int = 0,
 ) -> IncrementIdentityReport:
     """Monte Carlo report for the renewal identity between grid indices s and t."""
-    if samples < 100:
-        raise ConfigError(f"need at least 100 samples, got {samples}")
+    samples = check_int("samples", samples, 100)
     k = grid.num_steps
     if not 0 <= s_index < t_index <= k:
         raise DomainError(

@@ -34,8 +34,8 @@ from ._rng import (
     normal_words,
     stream_key,
 )
-from .drifts import DriftSpec, MollifiedDrift, _check_int, mollify
-from .errors import ConfigError, ConfigWarning, DomainError, KineticEmError
+from .drifts import DriftSpec, MollifiedDrift, mollify
+from .errors import ConfigError, ConfigWarning, DomainError, KineticEmError, check_int, check_real
 from .integrator import exact_linear_block, resolve_initial, step_block
 from .kernel import kernel_pair
 from .paths import (
@@ -61,14 +61,6 @@ _BOOTSTRAP_INDICES = 1 << 16
 _STRONG_CHUNK = 256
 _WEAK_CHUNK = 512
 _TV_CHUNK = 4096
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker thread count; None means 1."""
-    threads = 1 if threads is None else int(threads)
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def worker_count(threads: int) -> int:
@@ -134,14 +126,20 @@ def _scheme(drift: DriftSpec, md: MollifiedDrift, grid: GridSpec, quad_order: in
 
 
 def _check_levels(levels) -> tuple[int, ...]:
-    out = tuple(int(n) for n in levels)
-    if not out:
-        raise ConfigError("need at least one level")
-    if any(n < 1 for n in out):
-        raise ConfigError(f"levels must be positive integers, got {out}")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError(f"levels must be strictly increasing, got {out}")
+    out = tuple(check_int("levels", n, 1) for n in levels)
+    if not out or any(b <= a for a, b in zip(out, out[1:])):
+        raise ConfigError(f"levels must be nonempty and strictly increasing, got {out}")
     return out
+
+
+def _check_ref_levels(levels, n_ref) -> tuple[tuple[int, ...], int]:
+    """The checked levels and n_ref of a rate run; n_ref must be a multiple of every level."""
+    levels, n_ref = _check_levels(levels), check_int("n_ref", n_ref, 1)
+    for n in levels:
+        if n_ref % n:
+            raise ConfigError(f"n_ref must be a multiple of every level, got n_ref={n_ref} "
+                              f"and level {n}")
+    return levels, n_ref
 
 
 @dataclass(frozen=True)
@@ -285,8 +283,7 @@ class TestFunctionSet:
 
 def default_test_functions(d: int = 1) -> TestFunctionSet:
     """Eight bounded smooth observables mixing odd and even symmetry."""
-    if d < 1:
-        raise ConfigError(f"d must be at least 1, got {d}")
+    check_int("d", d, 1)
 
     def sin_v1(x, v):
         return np.sin(v[:, 0])
@@ -364,7 +361,7 @@ def strong_error(
     reference: str = "self",
     initial=None,
     quad_order: int = 8,
-    threads: int | None = 1,
+    threads: int = 1,
     bootstrap: int = 200,
 ) -> RateReport:
     """Pathwise L^m error of the scheme against a reference on the same noise.
@@ -377,24 +374,14 @@ def strong_error(
     error is the sup over the level's grid times of the phase-space distance,
     and the L^m norm over samples gets a bootstrap standard error.
     """
-    levels = _check_levels(levels)
-    n_ref = _check_int("n_ref", n_ref, 1)
-    d = _check_int("d", d, 1)
-    for n in levels:
-        if n_ref % n:
-            raise ConfigError(f"n_ref={n_ref} is not divisible by level n={n}")
-    if not (m >= 1.0 and math.isfinite(m)):
-        raise ConfigError(f"moment order m must be finite and >= 1, got {m}")
-    if drift.p_label is not None:
-        m_max = min(drift.p_label) - 1.0
-        if m > m_max:
-            raise ConfigError(
-                f"moment order {m} exceeds min(p)-1 = {m_max} for drift {drift.drift_id}"
-            )
-    if samples < 100:
-        raise ConfigError(f"insufficient samples: need at least 100, got {samples}")
-    if bootstrap < 2:
-        raise ConfigError(f"bootstrap resamples must be >= 2, got {bootstrap}")
+    levels, n_ref = _check_ref_levels(levels, n_ref)
+    d = check_int("d", d, 1)
+    m = check_real("m", m, 1)
+    if drift.p_label is not None and m > min(drift.p_label) - 1.0:
+        raise ConfigError(f"m must be <= min(p) - 1 = {min(drift.p_label) - 1.0} "
+                          f"for drift {drift.drift_id}, got {m}")
+    samples = check_int("samples", samples, 100)
+    bootstrap = check_int("bootstrap", bootstrap, 2)
     if reference not in ("self", "exact"):
         raise ConfigError(f"reference must be 'self' or 'exact', got {reference!r}")
     gamma = None
@@ -405,9 +392,9 @@ def strong_error(
             gamma = 0.0
         else:
             raise ConfigError(
-                f"exact reference needs a zero or linear_friction drift, got {drift.kind}"
+                f"reference = exact needs a zero or linear_friction drift, got {drift.kind}"
             )
-    threads = resolve_threads(threads)
+    threads = check_int("threads", threads, 1)
 
     grid_ref = GridSpec(n=n_ref, horizon=horizon, d=d)
     k_ref = grid_ref.num_steps
@@ -505,12 +492,10 @@ class WeakErrorReport:
 
 
 def _time_steps(grid: GridSpec, t_eval) -> list[int]:
-    ks = []
-    for t in t_eval:
-        k = int(round(float(t) / grid.h))
-        if not 0 < k <= grid.num_steps or abs(k * grid.h - t) > 1e-9:
-            raise ConfigError(f"time {t} is not a grid point at n={grid.n}")
-        ks.append(k)
+    """Grid step index of each time of the increasing t_eval, or ConfigError naming t_eval."""
+    ks = [round(grid.n * _check_horizon("t_eval", t, grid.n)) for t in t_eval]
+    if ks[-1] > grid.num_steps:
+        raise ConfigError(f"t_eval must be <= horizon = {grid.horizon}, got {t_eval[-1]}")
     return ks
 
 
@@ -535,7 +520,7 @@ def weak_error(
     horizon: float = 1.0,
     initial=None,
     quad_order: int = 8,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> WeakErrorReport:
     """Law-level error |E f(Z_ref_t) - E f(Z_n_t)| over test functions.
 
@@ -547,25 +532,16 @@ def weak_error(
     t=0 (both runs share the initial state), a biased lower-bound proxy for
     the time-integrated squared total variation distance.
     """
-    levels = _check_levels(levels)
-    n_ref = _check_int("n_ref", n_ref, 1)
-    d = _check_int("d", d, 1)
-    for n in levels:
-        if n_ref % n:
-            raise ConfigError(f"n_ref={n_ref} is not divisible by level n={n}")
-    if samples < 100:
-        raise ConfigError(f"insufficient samples: need at least 100, got {samples}")
-    ref_samples = 4 * samples if ref_samples is None else int(ref_samples)
-    if ref_samples < 100:
-        raise ConfigError(f"insufficient reference samples, got {ref_samples}")
-    t_eval = tuple(float(t) for t in t_eval)
-    if not all(math.isfinite(t) for t in t_eval):
-        raise ConfigError(f"evaluation times t_eval must be finite, got {t_eval}")
+    levels, n_ref = _check_ref_levels(levels, n_ref)
+    d = check_int("d", d, 1)
+    samples = check_int("samples", samples, 100)
+    ref_samples = 4 * samples if ref_samples is None else check_int("ref_samples", ref_samples, 100)
+    t_eval = tuple(check_real("t_eval", t, 0, strict=True) for t in t_eval)
     if not t_eval or any(b <= a for a, b in zip(t_eval, t_eval[1:])):
-        raise ConfigError(f"evaluation times t_eval must be strictly increasing, got {t_eval}")
+        raise ConfigError(f"t_eval must be nonempty and strictly increasing, got {t_eval}")
     if fset is None:
         fset = default_test_functions(d)
-    threads = resolve_threads(threads)
+    threads = check_int("threads", threads, 1)
 
     grid_ref = GridSpec(n=n_ref, horizon=horizon, d=d)
     grids = [GridSpec(n=n, horizon=horizon, d=d) for n in levels]
@@ -687,13 +663,9 @@ def taming_demo(
     dropped with a warning.
     """
     levels = _check_levels(levels)
-    if samples < 100:
-        raise ConfigError(f"insufficient samples: need at least 100, got {samples}")
-    if d < 1:
-        raise ConfigError(f"d must be at least 1, got {d}")
-    t_final = float(horizon)
-    if not (t_final > 0.0 and math.isfinite(t_final)):
-        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+    samples = check_int("samples", samples, 100)
+    d = check_int("d", d, 1)
+    t_final = check_real("horizon", horizon, 0, strict=True)
 
     kept = []
     dropped = []
@@ -702,6 +674,8 @@ def taming_demo(
             dropped.append(n)
         else:
             kept.append((li, n))
+    if not kept:
+        raise ConfigError(f"horizon must lie off the grid of some level, got {t_final}")
     if dropped:
         warnings.warn(
             f"target time {t_final} lies on the grid of levels {dropped}; "
@@ -709,8 +683,6 @@ def taming_demo(
             ConfigWarning,
             stacklevel=2,
         )
-    if not kept:
-        raise ConfigError(f"every level has {t_final} on its grid; nothing to compare")
 
     est_i, se_i, est_j, se_j = [], [], [], []
     gap_means, gap_ses = [], []
@@ -799,7 +771,7 @@ def tv_proxy(
     d: int = 1,
     initial=None,
     quad_order: int = 8,
-    threads: int | None = 1,
+    threads: int = 1,
     radius_sds: float = 4.0,
 ) -> TvProxyReport:
     """Biased total variation estimate between the laws at n and n_ref.
@@ -810,20 +782,15 @@ def tv_proxy(
     bins), and half the L1 distance of the bin frequencies is reported.
     """
     if d != 1:
-        raise DomainError("the histogram proxy is restricted to d=1 (cost)")
-    n, n_ref = _check_int("n", n, 1), _check_int("n_ref", n_ref, 1)
+        raise DomainError(f"d must be 1 for the histogram proxy (cost), got {d}")
+    n, n_ref = check_int("n", n, 1), check_int("n_ref", n_ref, 1)
     for res in (n, n_ref):
         _check_horizon("t", t, res)
-    if bins < 8:
-        raise ConfigError(f"need at least 8 bins per axis, got {bins}")
-    if not (radius_sds > 0.0 and math.isfinite(radius_sds)):
-        raise ConfigError(f"radius_sds must be positive and finite, got {radius_sds}")
-    if samples < 8 * bins * bins:
-        raise ConfigError(
-            f"need samples >= 8*bins^2 = {8 * bins * bins} for a stable histogram, "
-            f"got {samples}"
-        )
-    threads = resolve_threads(threads)
+    bins = check_int("bins", bins, 8)
+    radius_sds = check_real("radius_sds", radius_sds, 0, strict=True)
+    # 8 samples per bin of the bins x bins histogram, for a stable estimate
+    samples = check_int("samples", samples, 8 * bins * bins)
+    threads = check_int("threads", threads, 1)
     grid_n = GridSpec(n=n, horizon=t, d=d)
     grid_ref = GridSpec(n=n_ref, horizon=t, d=d)
     x0, v0 = resolve_initial(initial, d)

@@ -322,6 +322,9 @@ def test_missing_table_path_exits_two(tmp_path):
 
 
 _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
+_OSC_SMALL = ("drift = oscillatory_singular\nreference = self\nlevels = 4, 8\nn_ref = 8\n"
+              "samples = 100\n")
+_FRICTION_SMALL = "drift = linear_friction\nlevels = 4, 8\nn_ref = 8\n"
 
 
 @pytest.mark.parametrize("sub,section,flags,message", [
@@ -360,6 +363,8 @@ _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
     pytest.param("simulate", "d = 0\n", [], "d must", id="d-zero-simulate"),
     pytest.param("strong-rate", "d = 0\n", [], "d must", id="d-zero-strong"),
     pytest.param("weak-rate", "d = 0\n", [], "d must", id="d-zero-weak"),
+    pytest.param("strong-rate", "d = 0\ninitial_x = 1.0\n", [], "d must",
+                 id="d-zero-with-initial_x"),
     pytest.param("tv-proxy", "t = 0.3\nn = 16\n", [],
                  "t must be a whole number of steps at n=16", id="tv-t-off-grid"),
     pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nhorizon = 0.3\n", [],
@@ -368,6 +373,10 @@ _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
                  "horizon must be a whole number of steps at n=8", id="horizon-off-grid-weak"),
     pytest.param("simulate", "horizon = 0.3\n", [],
                  "horizon must be a whole number of steps at n=8", id="horizon-off-grid-simulate"),
+    pytest.param("simulate", "horizon = 1e-12\n", [],
+                 "horizon must be a whole number of steps at n=8", id="horizon-no-step-simulate"),
+    pytest.param("weak-rate", _SIGN_SMALL + "t_eval = 1e-12\n", [],
+                 "t_eval must be a whole number of steps at n=8", id="t_eval-no-step"),
     pytest.param("strong-rate", "drift = oscillatory_singular\nkappa = nan\n", [],
                  "kappa must be finite", id="kappa-nan"),
     pytest.param("strong-rate", "drift = oscillatory_singular\nkappa = inf\n", [],
@@ -385,6 +394,49 @@ _SIGN_SMALL = "drift = sign_velocity\nlevels = 4, 8\nn_ref = 8\nsamples = 100\n"
                  "key 'c' does not apply to drift zero", id="zero-c"),
     pytest.param("tv-proxy", "drift = constant\ntable_path = field.csv\n", [],
                  "key 'table_path' does not apply to drift constant", id="constant-table"),
+    pytest.param("strong-rate", _SIGN_SMALL + "reference = self\ntheta = 0\n", [],
+                 "theta must be > 0", id="theta-zero"),
+    pytest.param("strong-rate", _SIGN_SMALL + "reference = self\ntheta = 0.9\n", [],
+                 "theta must be below the admissibility bound 0.8", id="theta-inadmissible"),
+    pytest.param("strong-rate", _FRICTION_SMALL + "gamma = -1\n", [], "gamma must be >= 0",
+                 id="gamma-negative"),
+    pytest.param("strong-rate", _FRICTION_SMALL + "gamma = inf\n", [], "gamma must be >= 0",
+                 id="gamma-inf"),
+    pytest.param("strong-rate", _OSC_SMALL + "beta = inf\n", [], "beta must be >= 0",
+                 id="beta-inf"),
+    pytest.param("simulate", "drift = constant\nc = nan\n", [], "c must be finite",
+                 id="c-nan"),
+    pytest.param("simulate", "initial_v = nan\n", [], "initial_v must be finite",
+                 id="initial_v-nan"),
+    pytest.param("simulate", "", ["--threads", "0"], "threads must", id="threads-zero"),
+    pytest.param("weak-rate", _SIGN_SMALL + "t_eval = 0.3\n", [],
+                 "t_eval must be a whole number of steps at n=8", id="t_eval-off-grid"),
+    pytest.param("weak-rate", _SIGN_SMALL + "horizon = 0.5\n", [],
+                 "t_eval must be <= horizon = 0.5", id="t_eval-past-horizon"),
+    pytest.param("weak-rate", _SIGN_SMALL + "ref_samples = 50\n", [], "ref_samples must",
+                 id="ref_samples-50"),
+    pytest.param("strong-rate", _FRICTION_SMALL + "samples = 50\n", [], "samples must",
+                 id="samples-50-strong"),
+    pytest.param("weak-rate", _SIGN_SMALL.replace("samples = 100", "samples = 50"), [],
+                 "samples must",
+                 id="samples-50-weak"),
+    pytest.param("taming-demo", "levels = 4, 8\nsamples = 50\n", [], "samples must",
+                 id="samples-50-taming"),
+    pytest.param("strong-rate", _FRICTION_SMALL + "bootstrap = 1\n", [], "bootstrap must",
+                 id="bootstrap-one"),
+    pytest.param("tv-proxy", "n = 4\nn_ref = 8\nbins = 4\nsamples = 512\n", [],
+                 "bins must", id="bins-four"),
+    pytest.param("tv-proxy", "n = 4\nn_ref = 8\nbins = 8\nsamples = 10\n", [],
+                 "samples must be an integer >= 512", id="samples-10-tv"),
+    pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nm = 8\n", [],
+                 "m must be <= min(p) - 1 = 3", id="m-above-integrability"),
+    pytest.param("taming-demo", "check_gaps = maybe\n", [], "check_gaps has a bad value",
+                 id="check_gaps-maybe"),
+    pytest.param("simulate", "drift = wobbly\n", [], "drift must be one of", id="drift-unknown"),
+    pytest.param("simulate", "drift = tabulated\n", [], "table_path must be set",
+                 id="table_path-missing"),
+    pytest.param("taming-demo", "levels = 4, 8\nhorizon = 1.0\n", [],
+                 "horizon must lie off the grid of some level", id="horizon-on-every-grid"),
 ])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, message):
     # `message` starts with the key and must start a word of the error, so
@@ -393,6 +445,18 @@ def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flag
     out = str(tmp_path / "r")
     assert main([sub, "--config", cfg, "--out", out, *flags]) == 2
     assert re.search(r"\b" + re.escape(message), capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("section", [
+    "drift = linear_friction\ngamma = 1e200\n",
+    "drift = constant\nc = 1e308\ninitial_v = 1e308\n",
+], ids=["friction-nan", "constant-inf"])
+def test_simulate_diverging_path_exits_two_naming_it(tmp_path, capsys, section):
+    cfg = _write(tmp_path / "cfg.ini", f"[simulate]\npaths = 3\n{section}")
+    out = str(tmp_path / "r")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    assert "stream index 0 ends in a non-finite state" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from kinetic_em import drifts
 from kinetic_em.drifts import (
-    _check_int,
     DriftSpec,
     MollifiedDrift,
     TabulatedField,
@@ -25,7 +24,7 @@ from kinetic_em.drifts import (
     tabulated_drift,
     zero_drift,
 )
-from kinetic_em.errors import ConfigError, DomainError, ExtrapolationError
+from kinetic_em.errors import ConfigError, DomainError, ExtrapolationError, check_int
 
 
 def _sup_on_probes(drift, d=1):
@@ -278,8 +277,8 @@ def test_quadrature_route_golden_digests():
 def test_quadrature_orders_must_be_integers():
     for bad in (2.5, 0, True, "8"):
         with pytest.raises(ConfigError, match="quad_order"):
-            _check_int("quad_order", bad, 1)
-    assert _check_int("quad_order", np.int64(16), 1) == 16
+            check_int("quad_order", bad, 1)
+    assert check_int("quad_order", np.int64(16), 1) == 16
     # the Gauss-Hermite order is fixed, not a per-drift setting
     md = mollify(oscillatory_singular(), 8, 0.5)
     assert md.quad_points == MollifiedDrift.quad_points == 64

@@ -16,7 +16,6 @@ from kinetic_em.rates import (
     fit_rate,
     rate_report_summary,
     rate_report_to_csv,
-    resolve_threads,
     strong_error,
     taming_demo,
     tv_proxy,
@@ -52,13 +51,6 @@ def test_fit_rate_noise_coverage():
         if abs(slope - 0.7) <= 3.0 * se:
             hits += 1
     assert hits >= 97
-
-
-def test_resolve_threads():
-    assert resolve_threads(3) == 3
-    assert resolve_threads(None) == 1
-    with pytest.raises(ConfigError):
-        resolve_threads(0)
 
 
 def test_default_test_functions_bounded():
