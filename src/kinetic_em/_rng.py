@@ -27,10 +27,11 @@ which the setter reads faster than small arrays.  The draw then works in
 place in one float64 buffer, the caller's ``out`` row or a fresh one: a
 Generator double is ``u = (w >> 11) * 2**-53``, so ``floor(u * 2**52)`` is
 exactly the cell index ``w >> 12`` and no double rounding sits between the
-word and the normal.  Each NumPy call releases the GIL, so the fewer calls
-and temporaries per stream, the less two sampling threads hand it back and
-forth.  `make_generator` builds a full ``Generator`` on the same key; its only
-caller is the bootstrap resampling of strong-error runs.
+word and the normal.  NumPy calls release the GIL only on arrays above 500
+elements, so the fewer calls and temporaries per stream, the less two
+sampling threads hand it back and forth.  `make_generator` builds a full
+``Generator`` on the same key; its only caller is the bootstrap resampling
+of strong-error runs.
 """
 
 from __future__ import annotations

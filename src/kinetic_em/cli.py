@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from ._rng import ROLE_SIMULATE, stream_key
 from ._steppers import backend_name
-from .drifts import _drift_params, drift_from_name, mollify
+from .drifts import _DRIFT_PARAMS, _drift_params, drift_from_name, mollify
 from .errors import ConfigError, KineticEmError, check_int, check_real
 from .integrator import integrate, trajectory_to_csv
 from .kernel import (
@@ -57,27 +57,12 @@ from .rates import (
     worker_count,
 )
 
-SUBCOMMANDS = (
-    "simulate", "strong-rate", "weak-rate", "taming-demo", "kernel-check", "tv-proxy",
-)
-
-_DRIFT_PARAM_KEYS = ("c", "gamma", "kappa", "beta", "table_path")
-
-
-def _as_int(s):
-    return int(str(s).strip())
-
-
-def _as_float(s):
-    return float(str(s).strip())
-
-
-def _as_str(s):
-    return str(s).strip()
+# the keys some drift takes, each once, in catalog order
+_DRIFT_PARAM_KEYS = tuple(dict.fromkeys(k for keys in _DRIFT_PARAMS.values() for k in keys))
 
 
 def _as_bool(s):
-    val = str(s).strip().lower()
+    val = s.lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
@@ -86,106 +71,104 @@ def _as_bool(s):
 
 
 def _as_int_list(s):
-    return tuple(int(tok) for tok in str(s).split(",") if tok.strip())
+    return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
 
 def _as_float_list(s):
-    return tuple(float(tok) for tok in str(s).split(",") if tok.strip())
+    return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
-# key -> (parser, default); a None default means "not set"
+# key -> (parser, default); a None default means "not set".  configparser
+# strips the values it reads, so `int`, `float` and `str.strip` parse them.
 _COMMON_SPEC = {
-    "seed": (_as_int, 0),
-    "threads": (_as_int, 1),
-    "out": (_as_str, "runs"),
+    "seed": (int, 0),
+    "threads": (int, 1),
+    "out": (str.strip, "runs"),
 }
 
 _DRIFT_SPEC = {
-    "drift": (_as_str, "zero"),
+    "drift": (str.strip, "zero"),
     "c": (_as_float_list, None),
-    "gamma": (_as_float, None),
-    "kappa": (_as_float, None),
-    "beta": (_as_float, None),
-    "table_path": (_as_str, None),
-    "theta": (_as_float, 0.5),
+    "gamma": (float, None),
+    "kappa": (float, None),
+    "beta": (float, None),
+    "table_path": (str.strip, None),
+    "theta": (float, 0.5),
+}
+
+# the keys of every subcommand that steps paths, with one meaning in each
+_STATE_SPEC = {
+    "d": (int, 1),
+    "initial_x": (_as_float_list, None),
+    "initial_v": (_as_float_list, None),
+    "quad_order": (int, 8),
 }
 
 _CONFIG_SPEC = {
     "simulate": {
         **_DRIFT_SPEC,
-        "n": (_as_int, 8),
-        "horizon": (_as_float, 1.0),
-        "d": (_as_int, 1),
-        "paths": (_as_int, 1),
-        "sample_at": (_as_int, None),
-        "initial_x": (_as_float_list, None),
-        "initial_v": (_as_float_list, None),
-        "quad_order": (_as_int, 8),
+        **_STATE_SPEC,
+        "n": (int, 8),
+        "horizon": (float, 1.0),
+        "paths": (int, 1),
+        "sample_at": (int, None),
     },
     "strong-rate": {
         **_DRIFT_SPEC,
-        "drift": (_as_str, "linear_friction"),
-        "gamma": (_as_float, 1.0),
+        **_STATE_SPEC,
+        "drift": (str.strip, "linear_friction"),
+        "gamma": (float, 1.0),
         "levels": (_as_int_list, (16, 32, 64, 128, 256, 512)),
-        "n_ref": (_as_int, 512),
-        "m": (_as_float, 2.0),
-        "samples": (_as_int, 2000),
-        "reference": (_as_str, "exact"),
-        "horizon": (_as_float, 1.0),
-        "d": (_as_int, 1),
-        "initial_x": (_as_float_list, None),
-        "initial_v": (_as_float_list, None),
-        "quad_order": (_as_int, 8),
-        "bootstrap": (_as_int, 200),
-        "min_slope": (_as_float, None),
-        "max_slope_se": (_as_float, None),
+        "n_ref": (int, 512),
+        "m": (float, 2.0),
+        "samples": (int, 2000),
+        "reference": (str.strip, "exact"),
+        "horizon": (float, 1.0),
+        "bootstrap": (int, 200),
+        "min_slope": (float, None),
+        "max_slope_se": (float, None),
     },
     "weak-rate": {
         **_DRIFT_SPEC,
-        "drift": (_as_str, "sign_velocity"),
+        **_STATE_SPEC,
+        "drift": (str.strip, "sign_velocity"),
         "levels": (_as_int_list, (16, 32, 64, 128, 256)),
-        "n_ref": (_as_int, 1024),
+        "n_ref": (int, 1024),
         "t_eval": (_as_float_list, (1.0,)),
-        "samples": (_as_int, 20000),
-        "ref_samples": (_as_int, None),
-        "horizon": (_as_float, 1.0),
-        "d": (_as_int, 1),
-        "initial_x": (_as_float_list, None),
-        "initial_v": (_as_float_list, None),
-        "quad_order": (_as_int, 8),
-        "min_slope": (_as_float, None),
-        "max_slope_se": (_as_float, None),
-        "max_null_sigma": (_as_float, None),
+        "samples": (int, 20000),
+        "ref_samples": (int, None),
+        "horizon": (float, 1.0),
+        "min_slope": (float, None),
+        "max_slope_se": (float, None),
+        "max_null_sigma": (float, None),
     },
     "taming-demo": {
         "levels": (_as_int_list, (16, 32, 64, 128, 256, 512, 1024)),
-        "samples": (_as_int, 100000),
-        "horizon": (_as_float, 47.0 / 48.0),
-        "d": (_as_int, 1),
-        "min_i_slope": (_as_float, None),
-        "max_i_slope": (_as_float, None),
-        "min_j_slope": (_as_float, None),
+        "samples": (int, 100000),
+        "horizon": (float, 47.0 / 48.0),
+        "d": (int, 1),
+        "min_i_slope": (float, None),
+        "max_i_slope": (float, None),
+        "min_j_slope": (float, None),
         "check_gaps": (_as_bool, True),
     },
     "kernel-check": {
-        "probes": (_as_int, 1000),
-        "points": (_as_int, 257),
+        "probes": (int, 1000),
+        "points": (int, 257),
     },
     "tv-proxy": {
         **_DRIFT_SPEC,
-        "drift": (_as_str, "sign_velocity"),
-        "n": (_as_int, 16),
-        "n_ref": (_as_int, 256),
-        "t": (_as_float, 1.0),
-        "bins": (_as_int, 24),
-        "samples": (_as_int, 20000),
-        "d": (_as_int, 1),
-        "initial_x": (_as_float_list, None),
-        "initial_v": (_as_float_list, None),
-        "quad_order": (_as_int, 8),
-        "radius_sds": (_as_float, 4.0),
+        **_STATE_SPEC,
+        "drift": (str.strip, "sign_velocity"),
+        "n": (int, 16),
+        "n_ref": (int, 256),
+        "t": (float, 1.0),
+        "bins": (int, 24),
+        "samples": (int, 20000),
+        "radius_sds": (float, 4.0),
     },
 }
+SUBCOMMANDS = tuple(_CONFIG_SPEC)
 
 
 def load_config(path: str, subcommand: str) -> dict:
@@ -302,6 +285,13 @@ def _initial_from_config(cfg: dict):
     return PhaseState(*state)
 
 
+def _report_text(report) -> str:
+    """A RateReport as the CSV text of `rate_report_to_csv`."""
+    buf = io.StringIO()
+    rate_report_to_csv(report, buf)
+    return buf.getvalue()
+
+
 class Check:
     """One named pass/fail verdict with a human-readable detail line."""
 
@@ -376,10 +366,8 @@ def cmd_strong_rate(cfg: dict, threads: int):
         initial=_initial_from_config(cfg), quad_order=cfg["quad_order"],
         threads=threads, bootstrap=cfg["bootstrap"],
     )
-    buf = io.StringIO()
-    rate_report_to_csv(report, buf)
     checks = _slope_checks(report, cfg["min_slope"], cfg["max_slope_se"])
-    return {"rates.csv": buf.getvalue()}.items(), checks, rate_report_summary(report)
+    return {"rates.csv": _report_text(report)}.items(), checks, rate_report_summary(report)
 
 
 def cmd_weak_rate(cfg: dict, threads: int):
@@ -393,10 +381,8 @@ def cmd_weak_rate(cfg: dict, threads: int):
     )
     outputs = {}
     for idx, report in enumerate(result.reports):
-        buf = io.StringIO()
-        rate_report_to_csv(report, buf)
         name = "rates.csv" if len(result.reports) == 1 else f"rates_t{idx}.csv"
-        outputs[name] = buf.getvalue()
+        outputs[name] = _report_text(report)
     buf = io.StringIO()
     buf.write("t,level,f,mean_ref,se_ref,mean_level,se_level,err,se\n")
     for o in result.observations:
@@ -419,12 +405,8 @@ def cmd_weak_rate(cfg: dict, threads: int):
 def cmd_taming_demo(cfg: dict, threads: int):
     demo = taming_demo(cfg["levels"], samples=cfg["samples"], seed=cfg["seed"],
                        horizon=cfg["horizon"], d=cfg["d"])
-    outputs = {}
-    for name, report in (("uncorrected.csv", demo.uncorrected),
-                         ("shifted.csv", demo.shifted)):
-        buf = io.StringIO()
-        rate_report_to_csv(report, buf)
-        outputs[name] = buf.getvalue()
+    outputs = {"uncorrected.csv": _report_text(demo.uncorrected),
+               "shifted.csv": _report_text(demo.shifted)}
     buf = io.StringIO()
     buf.write("n,gap,se\n")
     for n, g, s in zip(demo.uncorrected.levels, demo.gap_means, demo.gap_ses):

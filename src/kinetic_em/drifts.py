@@ -12,6 +12,7 @@ quadrature against the mollifier.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, TextIO
@@ -36,16 +37,6 @@ __all__ = [
     "load_tabulated",
     "save_tabulated",
 ]
-
-# each drift kind, with the configuration keys it takes
-_DRIFT_PARAMS = {
-    "zero": (),
-    "constant": ("c",),
-    "linear_friction": ("gamma",),
-    "sign_velocity": (),
-    "oscillatory_singular": ("kappa", "beta"),
-    "tabulated": ("table_path",),
-}
 
 # Closed-form mollifications exist exactly for these kinds; they also depend
 # on z only through v, so the transport shift acts trivially on them.
@@ -154,7 +145,7 @@ def zero_drift() -> DriftSpec:
     return DriftSpec(kind="zero")
 
 
-def constant_drift(c) -> DriftSpec:
+def constant_drift(c=1.0) -> DriftSpec:
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if not np.all(np.isfinite(c)):
         raise DomainError(f"c must be finite, got {tuple(c.tolist())}")
@@ -177,6 +168,26 @@ def oscillatory_singular(kappa: float = 3.0, beta: float = 0.25) -> DriftSpec:
 
 def tabulated_drift(table: TabulatedField) -> DriftSpec:
     return DriftSpec(kind="tabulated", table=table)
+
+
+def _tabulated_from_path(table_path=None) -> DriftSpec:
+    if table_path is None:
+        raise ConfigError("table_path must be set for drift tabulated")
+    with open(table_path, "r", encoding="utf-8") as fh:
+        return tabulated_drift(load_tabulated(fh))
+
+
+# each drift kind's constructor; its parameters are the configuration keys
+# the kind takes, and their defaults the kind's defaults
+_CATALOG = {
+    "zero": zero_drift,
+    "constant": constant_drift,
+    "linear_friction": linear_friction,
+    "sign_velocity": sign_velocity,
+    "oscillatory_singular": oscillatory_singular,
+    "tabulated": _tabulated_from_path,
+}
+_DRIFT_PARAMS = {k: tuple(inspect.signature(f).parameters) for k, f in _CATALOG.items()}
 
 
 def _separable(drift: DriftSpec):
@@ -461,24 +472,10 @@ def _drift_params(name: str, given=()) -> tuple[str, ...]:
 
 
 def drift_from_name(name: str, **params) -> DriftSpec:
-    """Construct a catalog drift from its configuration name and keys."""
+    """Construct a catalog drift from its name; keys left out take its constructor's defaults."""
     name = name.strip()
     _drift_params(name, params)
-    if name == "zero":
-        return zero_drift()
-    if name == "constant":
-        return constant_drift(params.get("c", 1.0))
-    if name == "linear_friction":
-        return linear_friction(params.get("gamma", 1.0))
-    if name == "sign_velocity":
-        return sign_velocity()
-    if name == "oscillatory_singular":
-        return oscillatory_singular(params.get("kappa", 3.0), params.get("beta", 0.25))
-    path = params.get("table_path")
-    if path is None:
-        raise ConfigError("table_path must be set for drift tabulated")
-    with open(path, "r", encoding="utf-8") as fh:
-        return tabulated_drift(load_tabulated(fh))
+    return _CATALOG[name](**params)
 
 
 def save_tabulated(table: TabulatedField, fh: TextIO) -> None:

@@ -437,9 +437,18 @@ def strong_error(
 
     estimates = []
     ses = []
-    for li in range(len(levels)):
-        em = errs[:, li] ** m
-        estimates.append(float(np.mean(em) ** (1.0 / m)))
+    for li, n in enumerate(levels):
+        with np.errstate(over="ignore"):
+            em = errs[:, li] ** m
+            mean = np.mean(em)
+        # an m-th power that underflows to 0 or overflows would fake an
+        # exact reproduction or an infinite error
+        top = float(errs[:, li].max())
+        if top > 0 and not np.finfo(np.float64).tiny <= mean < math.inf:
+            raise DomainError(f"m must keep the mean m-th power of the errors in float range: "
+                              f"at level {n} it is {float(mean)!r} (largest error {top!r}, "
+                              f"m = {m!r})")
+        estimates.append(float(mean ** (1.0 / m)))
         gen = make_generator(seed, stream_key(ROLE_BOOTSTRAP, li))
         ses.append(float(_bootstrap_norms(em, m, bootstrap, gen).std(ddof=1)))
     return _fitted_report(levels, estimates, ses, {

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from kinetic_em import backend_name, cli, rates
+from kinetic_em import backend_name, cli, drifts, rates
 from kinetic_em.cli import config_hash, effective_config, load_config, main
 from kinetic_em.drifts import TabulatedField, save_tabulated
 from kinetic_em.errors import ConfigError, DomainError
@@ -430,6 +430,10 @@ _FRICTION_SMALL = "drift = linear_friction\nlevels = 4, 8\nn_ref = 8\n"
                  "samples must be an integer >= 512", id="samples-10-tv"),
     pytest.param("strong-rate", _SIGN_SMALL + "reference = self\nm = 8\n", [],
                  "m must be <= min(p) - 1 = 3", id="m-above-integrability"),
+    pytest.param("strong-rate", "drift = linear_friction\nlevels = 4, 8, 16\nn_ref = 16\n"
+                 "samples = 100\nm = 1000\n", [],
+                 "m must keep the mean m-th power of the errors in float range: at level 4 "
+                 "it is 0.0", id="m-underflow"),
     pytest.param("taming-demo", "check_gaps = maybe\n", [], "check_gaps has a bad value",
                  id="check_gaps-maybe"),
     pytest.param("simulate", "drift = wobbly\n", [], "drift must be one of", id="drift-unknown"),
@@ -446,6 +450,44 @@ def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flag
     assert main([sub, "--config", cfg, "--out", out, *flags]) == 2
     assert re.search(r"\b" + re.escape(message), capsys.readouterr().err)
     assert not os.path.exists(out)
+
+
+# Config hashes of each subcommand's defaults and of one section that sets its
+# drift and stepping keys; a run directory's name must not move when the
+# tables the config is built from are regrouped.
+_HASH_PINS = {
+    "simulate": ("drift = constant\nc = 0.5, -1.0\nd = 2\ninitial_x = 0.1, 0.2\n"
+                 "quad_order = 4\n", "4ffe63e4865a", "7d0672f4a47e"),
+    "strong-rate": ("drift = linear_friction\ngamma = 2.0\nd = 2\ninitial_v = 1.0, -1.0\n",
+                    "987e8cdcf6e8", "006f5a15bd50"),
+    "weak-rate": ("drift = oscillatory_singular\nkappa = 4.0\nbeta = 0.5\nquad_order = 6\n",
+                  "1c2c79a19088", "93b0eab6b24b"),
+    "taming-demo": ("d = 2\nsamples = 1000\n", "a2f58076582c", "312068db5d98"),
+    "kernel-check": ("points = 129\n", "909054d70129", "c67401848f63"),
+    "tv-proxy": ("drift = oscillatory_singular\nkappa = 2.0\ninitial_x = 0.5\n",
+                 "7d297b8a8972", "512524a2bbcb"),
+}
+
+
+@pytest.mark.parametrize("sub", list(_HASH_PINS))
+def test_config_hashes_are_pinned(tmp_path, sub):
+    section, *pins = _HASH_PINS[sub]
+    hashes = []
+    for body in ("", section):
+        path = _write(tmp_path / "cfg.ini", f"[{sub}]\n{body}")
+        file_values = load_config(path, sub)
+        cfg = effective_config(sub, file_values, {"seed": None, "threads": None, "out": None})
+        cli._resolve_drift_config(cfg, file_values)
+        hashes.append(config_hash(cfg))
+    assert hashes == pins
+
+
+def test_subcommand_and_drift_key_tables_agree():
+    assert cli.SUBCOMMANDS == tuple(cli._DISPATCH) == tuple(_HASH_PINS)
+    # each key a drift takes has a parser, and every drift-section key but
+    # `drift` and `theta` is a key some drift takes
+    taken = {k for keys in drifts._DRIFT_PARAMS.values() for k in keys}
+    assert set(cli._DRIFT_SPEC) == {"drift", "theta", *taken}
 
 
 @pytest.mark.parametrize("section", [

@@ -383,6 +383,23 @@ def test_drift_from_name():
         drift_from_name("tabulated")
 
 
+_DEFAULT_IDS = {
+    "zero": (zero_drift, "zero"),
+    "constant": (constant_drift, "constant(1.0)"),
+    "linear_friction": (linear_friction, "linear_friction(gamma=1.0)"),
+    "sign_velocity": (sign_velocity, "sign_velocity"),
+    "oscillatory_singular": (oscillatory_singular, "oscillatory_singular(kappa=3.0,beta=0.25)"),
+}
+
+
+def test_drift_from_name_without_keys_takes_the_constructor_defaults():
+    # every catalog drift but the tabulated one, which needs its table_path
+    assert set(_DEFAULT_IDS) | {"tabulated"} == set(drifts._DRIFT_PARAMS)
+    for name, (make, drift_id) in _DEFAULT_IDS.items():
+        assert drift_from_name(name) == make()
+        assert make().drift_id == drift_id
+
+
 def test_drift_from_name_tabulated(tmp_path):
     path = tmp_path / "field.csv"
     tab = TabulatedField([0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]])
