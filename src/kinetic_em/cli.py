@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from ._rng import ROLE_SIMULATE, stream_key
 from ._steppers import backend_name
-from .drifts import _DRIFT_PARAMS, _drift_params, drift_from_name, mollify
+from .drifts import _DRIFT_PARAMS, _drift_params, _read_tabulated, drift_from_name, mollify
 from .errors import ConfigError, KineticEmError, check_int, check_real
 from .integrator import integrate, trajectory_to_csv
 from .kernel import (
@@ -44,7 +44,7 @@ from .kernel import (
     kernel_norm_exponent_fit,
     scaling_identity_error,
 )
-from .paths import GridSpec, coarsen, sample_path
+from .paths import GridSpec, coarsen, sample_path, worker_count
 from .rates import (
     _check_finite,
     default_test_functions,
@@ -54,7 +54,6 @@ from .rates import (
     taming_demo,
     tv_proxy,
     weak_error,
-    worker_count,
 )
 
 # the keys some drift takes, each once, in catalog order
@@ -179,6 +178,8 @@ def load_config(path: str, subcommand: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"config key {exc.option!r} appears twice in [{exc.section}] "
                           f"(line {exc.lineno})") from exc
@@ -247,23 +248,22 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
-def _resolve_drift_config(cfg: dict, file_values: dict) -> None:
-    """Reject drift keys the config file sets that the named drift does not take;
-    add a tabulated drift's table sha256 to cfg as `table_sha256`.
+def _resolve_drift_config(cfg: dict, file_values: dict):
+    """The drift the run steps, or None for a subcommand that steps none.
 
-    Only keys the file sets are checked: strong-rate's default gamma serves
-    its default drift and must not fail an oscillatory run.  With the table's
+    Rejects drift keys the config file sets that the named drift does not
+    take, and adds a tabulated drift's table sha256 to cfg as
+    `table_sha256`, hashed from the bytes the table is parsed from.  Only
+    keys the file sets are checked: strong-rate's default gamma serves its
+    default drift and must not fail an oscillatory run.  With the table's
     bytes in the config hash, an edited table gets its own run directory.
     """
     if "drift" not in cfg:
-        return
+        return None
     _drift_params(cfg["drift"], [k for k in _DRIFT_PARAM_KEYS if k in file_values])
     if cfg["drift"] == "tabulated" and cfg["table_path"] is not None:
-        with open(cfg["table_path"], "rb") as fh:
-            cfg["table_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-
-
-def _drift_from_config(cfg: dict):
+        drift, cfg["table_sha256"] = _read_tabulated(cfg["table_path"])
+        return drift
     params = {k: cfg[k] for k in _drift_params(cfg["drift"]) if cfg.get(k) is not None}
     if "c" in params:
         c = params["c"]
@@ -327,8 +327,7 @@ def _slope_checks(report, min_slope, max_slope_se, max_slope=None, tag="") -> li
     return checks
 
 
-def cmd_simulate(cfg: dict, threads: int):
-    drift = _drift_from_config(cfg)
+def cmd_simulate(cfg: dict, threads: int, drift):
     grid = GridSpec(n=cfg["n"], horizon=cfg["horizon"], d=cfg["d"])
     n, d, horizon = grid.n, grid.d, grid.horizon
     md = mollify(drift, n, cfg["theta"], d=d)
@@ -357,8 +356,7 @@ def cmd_simulate(cfg: dict, threads: int):
     return outputs(), [], summary
 
 
-def cmd_strong_rate(cfg: dict, threads: int):
-    drift = _drift_from_config(cfg)
+def cmd_strong_rate(cfg: dict, threads: int, drift):
     report = strong_error(
         drift, cfg["theta"], cfg["levels"], cfg["n_ref"], m=cfg["m"],
         samples=cfg["samples"], seed=cfg["seed"], d=cfg["d"],
@@ -370,8 +368,7 @@ def cmd_strong_rate(cfg: dict, threads: int):
     return {"rates.csv": _report_text(report)}.items(), checks, rate_report_summary(report)
 
 
-def cmd_weak_rate(cfg: dict, threads: int):
-    drift = _drift_from_config(cfg)
+def cmd_weak_rate(cfg: dict, threads: int, drift):
     result = weak_error(
         drift, cfg["theta"], cfg["levels"], cfg["n_ref"],
         fset=default_test_functions(cfg["d"]), t_eval=cfg["t_eval"],
@@ -402,7 +399,7 @@ def cmd_weak_rate(cfg: dict, threads: int):
     return outputs.items(), checks, summary
 
 
-def cmd_taming_demo(cfg: dict, threads: int):
+def cmd_taming_demo(cfg: dict, threads: int, drift):
     demo = taming_demo(cfg["levels"], samples=cfg["samples"], seed=cfg["seed"],
                        horizon=cfg["horizon"], d=cfg["d"])
     outputs = {"uncorrected.csv": _report_text(demo.uncorrected),
@@ -430,7 +427,7 @@ def cmd_taming_demo(cfg: dict, threads: int):
     return outputs.items(), checks, summary
 
 
-def cmd_kernel_check(cfg: dict, threads: int):
+def cmd_kernel_check(cfg: dict, threads: int, drift):
     probes, points = check_int("probes", cfg["probes"], 1), cfg["points"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
@@ -470,8 +467,7 @@ def cmd_kernel_check(cfg: dict, threads: int):
     return {"kernel_checks.csv": buf.getvalue()}.items(), checks, summary
 
 
-def cmd_tv_proxy(cfg: dict, threads: int):
-    drift = _drift_from_config(cfg)
+def cmd_tv_proxy(cfg: dict, threads: int, drift):
     report = tv_proxy(
         drift, cfg["theta"], cfg["n"], cfg["n_ref"], t=cfg["t"], bins=cfg["bins"],
         samples=cfg["samples"], seed=cfg["seed"], d=cfg["d"],
@@ -590,12 +586,12 @@ def main(argv=None) -> int:
         cfg = effective_config(sub, file_values, flags)
         if not 0 <= cfg["seed"] < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg['seed']}")
-        _resolve_drift_config(cfg, file_values)
+        drift = _resolve_drift_config(cfg, file_values)
         threads = check_int("threads", cfg["threads"], 1)
         digest = config_hash(cfg)
 
         start = time.monotonic()
-        outputs, checks, summary = _DISPATCH[sub](cfg, threads)
+        outputs, checks, summary = _DISPATCH[sub](cfg, threads, drift)
         outdir = os.path.join(cfg["out"], f"{sub}-{digest}")
         checksums = _write_outputs(outdir, outputs)
         wall = time.monotonic() - start

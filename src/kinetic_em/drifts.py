@@ -12,7 +12,9 @@ quadrature against the mollifier.
 from __future__ import annotations
 
 import functools
+import hashlib
 import inspect
+import io
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, TextIO
@@ -170,11 +172,25 @@ def tabulated_drift(table: TabulatedField) -> DriftSpec:
     return DriftSpec(kind="tabulated", table=table)
 
 
+def _read_tabulated(table_path) -> tuple[DriftSpec, str]:
+    """The tabulated drift in the file table_path, and the sha256 of the bytes it came from.
+
+    The file is read once, so the hash describes the table that runs.  A
+    table that does not parse is a ConfigError naming table_path.
+    """
+    with open(table_path, "rb") as fh:
+        data = fh.read()
+    try:
+        table = load_tabulated(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"table_path {table_path!r} is not a drift table: {exc}") from exc
+    return tabulated_drift(table), hashlib.sha256(data).hexdigest()
+
+
 def _tabulated_from_path(table_path=None) -> DriftSpec:
     if table_path is None:
         raise ConfigError("table_path must be set for drift tabulated")
-    with open(table_path, "r", encoding="utf-8") as fh:
-        return tabulated_drift(load_tabulated(fh))
+    return _read_tabulated(table_path)[0]
 
 
 # each drift kind's constructor; its parameters are the configuration keys

@@ -12,6 +12,8 @@ what couples integrators across resolutions.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +171,49 @@ def sample_increment_block(
     return dw, di
 
 
+def worker_count(threads: int) -> int:
+    """Workers that `threads` requested threads run on: at most the usable CPUs.
+
+    More threads than CPUs only contend for them; chunks are keyed by stream
+    index, so the count cannot change an output bit.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus)
+
+
+def run_streams(grid: GridSpec, seed: int, role: int, tag: int, count: int,
+                chunk: int, threads: int, work) -> np.ndarray:
+    """Rows work(lo, hi, dw, di) returns for streams (role, tag, s), s < count, chunk by chunk.
+
+    Each chunk's increments are drawn once on `grid` and handed to `work`,
+    which returns the chunk's hi - lo rows and writes nothing shared.  The
+    rows land at lo..hi-1 of one array shaped from the first chunk's rows,
+    so the chunks can run in any order: on a pool of worker_count(threads)
+    workers when threads > 1, even if that pool has a single worker.
+    """
+    def run(lo: int):
+        hi = min(lo + chunk, count)
+        streams = [stream_key(role, s, level=tag) for s in range(lo, hi)]
+        return lo, work(lo, hi, *sample_increment_block(grid, seed, streams))
+
+    def collect(chunks) -> np.ndarray:
+        out = None
+        for lo, rows in chunks:
+            if out is None:
+                out = np.empty((count,) + rows.shape[1:], rows.dtype)
+            out[lo:lo + len(rows)] = rows
+        return out
+
+    starts = range(0, count, chunk)
+    if threads <= 1 or len(starts) <= 1:
+        return collect(map(run, starts))
+    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
+        return collect(pool.map(run, starts))
+
+
 def prefix_integrals(dw: np.ndarray, di: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(W, I) at grid points, I_t = int_0^t W_s ds, from increments with steps on axis 0.
 
@@ -292,19 +337,13 @@ def increment_identity_report(
     # The first t_index steps of the grid; per sample and dimension collect
     # (D_W, D_I, W_s, I_s).
     head = GridSpec(n=grid.n, horizon=t_index / grid.n, d=d)
-    feats = np.empty((samples, d, 4))
-    done = 0
-    while done < samples:
-        m = min(_IDENTITY_CHUNK, samples - done)
-        sids = [stream_key(ROLE_INCREMENT_CHECK, i) for i in range(done, done + m)]
-        w, iarr = prefix_integrals(*sample_increment_block(head, seed, sids), h)
+
+    def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> np.ndarray:
+        w, iarr = prefix_integrals(dw, di, h)
         ws, is_ = w[s_index], iarr[s_index]
-        wt, it = w[t_index], iarr[t_index]
-        feats[done : done + m, :, 0] = wt - ws
-        feats[done : done + m, :, 1] = it - (is_ + dt * ws)
-        feats[done : done + m, :, 2] = ws
-        feats[done : done + m, :, 3] = is_
-        done += m
+        return np.stack((w[t_index] - ws, iarr[t_index] - (is_ + dt * ws), ws, is_), axis=-1)
+
+    feats = run_streams(head, seed, ROLE_INCREMENT_CHECK, 0, samples, _IDENTITY_CHUNK, 1, work)
     cov = np.empty((d, 2, 2))
     cov_se = np.empty((d, 2, 2))
     cross = np.empty((d, 2, 2))

@@ -1,22 +1,20 @@
 """Strong and weak error estimation, rate regression, and scheme diagnostics.
 
 Monte Carlo runs are sample-parallel: every sample owns a counter-based
-stream keyed by its global index, per-sample statistics are written into
-arrays indexed the same way, and all reductions happen single-threaded
-afterwards.  `strong_error`, `weak_error` and `tv_proxy` share one chunk
-loop, `_run_streams`, which samples a fixed-size chunk of streams at a time
-and hands it to the experiment's work function, on a thread pool when more
-than one thread is asked for.  Reports are therefore bitwise reproducible
-for a given (config, seed) whatever the thread count; the chunk sizes are
-module constants, and the results do not depend on them either.
+stream keyed by its global index.  `strong_error`, `weak_error` and
+`tv_proxy` run on the chunk loop `paths.run_streams`, which samples a
+fixed-size chunk of streams at a time, hands it to the experiment's work
+function, on a thread pool when more than one thread is asked for, and puts
+the per-sample rows the work function returns in stream order; all
+reductions happen single-threaded afterwards.  Reports are therefore bitwise
+reproducible for a given (config, seed) whatever the thread count; the chunk
+sizes are module constants, and the results do not depend on them either.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
@@ -44,7 +42,7 @@ from .paths import (
     _normal_tiles,
     coarsen_block,
     prefix_integrals,
-    sample_increment_block,
+    run_streams,
 )
 
 # Below this, a level's error estimate counts as an exact reproduction
@@ -61,43 +59,6 @@ _BOOTSTRAP_INDICES = 1 << 16
 _STRONG_CHUNK = 256
 _WEAK_CHUNK = 512
 _TV_CHUNK = 4096
-
-
-def worker_count(threads: int) -> int:
-    """Workers that `threads` requested threads run on: at most the usable CPUs.
-
-    More threads than CPUs only contend for them; chunks are keyed by stream
-    index, so the count cannot change an output bit.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(threads, cpus)
-
-
-def _run_streams(grid: GridSpec, seed: int, role: int, tag: int, count: int,
-                 chunk: int, threads: int, work) -> None:
-    """Sample streams (role, tag, s), s < count, chunk by chunk; call work(lo, hi, dw, di).
-
-    Each chunk's increments are drawn once on `grid` and handed to `work`,
-    which writes only to rows lo..hi-1 of preallocated arrays, so the
-    chunks can run in any order: on a pool of worker_count(threads) workers
-    when threads > 1, even if that pool has a single worker.
-    """
-    def run(lo: int) -> None:
-        hi = min(lo + chunk, count)
-        streams = [stream_key(role, s, level=tag) for s in range(lo, hi)]
-        work(lo, hi, *sample_increment_block(grid, seed, streams))
-
-    starts = range(0, count, chunk)
-    if threads <= 1 or len(starts) <= 1:
-        for lo in starts:
-            run(lo)
-        return
-    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
-        for _ in pool.map(run, starts):
-            pass
 
 
 def _check_finite(drift: DriftSpec, n: int, lo: int, x: np.ndarray, v: np.ndarray) -> None:
@@ -405,9 +366,8 @@ def strong_error(
     md_levels = [mollify(drift, n, theta, d=d) for n in levels]
     x0, v0 = resolve_initial(initial, d)
 
-    errs = np.empty((samples, len(levels)))
-
-    def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> None:
+    def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> np.ndarray:
+        errs = np.empty((hi - lo, len(levels)))
         if reference == "exact":
             x = np.broadcast_to(x0, (hi - lo, d)).copy()
             v = np.broadcast_to(v0, (hi - lo, d)).copy()
@@ -431,9 +391,10 @@ def strong_error(
                 np.subtract(lz, rz[s - 1::s], out=lz)
                 np.multiply(lz, lz, out=lz)
             dist = np.sqrt(lx.sum(axis=2) + lv.sum(axis=2))
-            errs[lo:hi, li] = dist.max(axis=0)
+            errs[:, li] = dist.max(axis=0)
+        return errs
 
-    _run_streams(grid_ref, seed, ROLE_STRONG, 0, samples, _STRONG_CHUNK, threads, work)
+    errs = run_streams(grid_ref, seed, ROLE_STRONG, 0, samples, _STRONG_CHUNK, threads, work)
 
     estimates = []
     ses = []
@@ -561,32 +522,28 @@ def weak_error(
     x0, v0 = resolve_initial(initial, d)
     n_t, n_f = len(t_eval), len(fset)
 
-    def run(md, grid, ks, role, tag, count, out):
+    def run(md, grid, ks, role, tag, count) -> np.ndarray:
         stride = math.gcd(*ks)
 
-        def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> None:
+        def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> np.ndarray:
             rec_x, rec_v = _scheme(drift, md, grid, quad_order, x0, v0, lo, dw, di, stride)
+            vals = np.empty((hi - lo, n_t, n_f))
             for ti, k in enumerate(ks):
                 slot = k // stride - 1
                 xs, vs = rec_x[slot], rec_v[slot]
                 for fi, f in enumerate(fset.funcs):
-                    out[lo:hi, ti, fi] = f(xs, vs)
+                    vals[:, ti, fi] = f(xs, vs)
+            return vals
 
-        _run_streams(grid, seed, role, tag, count, _WEAK_CHUNK, threads, work)
+        return run_streams(grid, seed, role, tag, count, _WEAK_CHUNK, threads, work)
 
-    vals_ref = np.empty((ref_samples, n_t, n_f))
-    run(md_ref, grid_ref, ks_ref, ROLE_WEAK_REF, 0, ref_samples, vals_ref)
-    mu_ref, se_ref = _mean_and_se(vals_ref)
-    del vals_ref
+    mu_ref, se_ref = _mean_and_se(run(md_ref, grid_ref, ks_ref, ROLE_WEAK_REF, 0, ref_samples))
 
     errs = np.empty((n_t, len(levels), n_f))
     errs_se = np.empty_like(errs)
     observations = []
     for li, (n, grid, md) in enumerate(zip(levels, grids, md_levels)):
-        vals = np.empty((samples, n_t, n_f))
-        run(md, grid, ks_lvl[li], ROLE_WEAK_LEVEL, li, samples, vals)
-        mu, se = _mean_and_se(vals)
-        del vals
+        mu, se = _mean_and_se(run(md, grid, ks_lvl[li], ROLE_WEAK_LEVEL, li, samples))
         errs[:, li, :] = np.abs(mu_ref - mu)
         errs_se[:, li, :] = np.hypot(se_ref, se)
         for ti, t in enumerate(t_eval):
@@ -809,22 +766,16 @@ def tv_proxy(
         (0, grid_n, mollify(drift, n, theta, d=d)),
         (1, grid_ref, mollify(drift, n_ref, theta, d=d)),
     ):
-        fx = np.empty(samples)
-        fv = np.empty(samples)
-
-        def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> None:
-            # recording after the last step only keeps the final state
+        def work(lo: int, hi: int, dw: np.ndarray, di: np.ndarray) -> np.ndarray:
+            # recording after the last step only keeps the final (x, v), d = 1
             rx, rv = _scheme(drift, md, grid, quad_order, x0, v0, lo, dw, di, grid.num_steps)
-            fx[lo:hi] = rx[-1, :, 0]
-            fv[lo:hi] = rv[-1, :, 0]
+            return np.concatenate((rx[-1], rv[-1]), axis=1)
 
-        _run_streams(grid, seed, ROLE_TV, tag, samples, _TV_CHUNK, threads, work)
-        finals[tag] = (fx, fv)
+        finals[tag] = run_streams(grid, seed, ROLE_TV, tag, samples, _TV_CHUNK, threads, work)
 
-    pool_x = np.concatenate([finals[0][0], finals[1][0]])
-    pool_v = np.concatenate([finals[0][1], finals[1][1]])
     spans = []
-    for pool in (pool_x, pool_v):
+    for axis in range(2):
+        pool = np.concatenate([finals[0][:, axis], finals[1][:, axis]])
         center = float(pool.mean())
         sd = float(pool.std())
         half = max(radius_sds * sd, 1e-12)
@@ -834,8 +785,8 @@ def tv_proxy(
         """Half the L1 distance of the bin frequencies, and their pooled mean."""
         ex = np.linspace(spans[0][0], spans[0][1], nb + 1)
         ev = np.linspace(spans[1][0], spans[1][1], nb + 1)
-        p = _hist_freq(*finals[0], ex, ev)
-        q = _hist_freq(*finals[1], ex, ev)
+        p = _hist_freq(*finals[0].T, ex, ev)
+        q = _hist_freq(*finals[1].T, ex, ev)
         return float(0.5 * np.abs(p - q).sum()), 0.5 * (p + q)
 
     estimate, pooled = estimate_at(bins)

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 import scipy
 
-from kinetic_em import backend_name, cli, drifts, rates
+from kinetic_em import backend_name, cli, drifts, paths
 from kinetic_em.cli import config_hash, effective_config, load_config, main
 from kinetic_em.drifts import TabulatedField, save_tabulated
 from kinetic_em.errors import ConfigError, DomainError
-from kinetic_em.paths import GridSpec, prefix_integrals, sample_path
-from kinetic_em.rates import worker_count
+from kinetic_em.paths import GridSpec, prefix_integrals, sample_path, worker_count
 from kinetic_em._rng import ROLE_SIMULATE, stream_key
 
 
@@ -61,15 +60,18 @@ def test_load_config_rejects_default_section(tmp_path):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("[strong-rate]\ntheta = 0.5\ntheta = 0.4\n",
+    (b"[strong-rate]\ntheta = 0.5\ntheta = 0.4\n",
      "config key 'theta' appears twice in [strong-rate] (line 3)"),
-    ("[strong-rate]\ntheta = 0.5\n[strong-rate]\nn_ref = 8\n",
+    (b"[strong-rate]\ntheta = 0.5\n[strong-rate]\nn_ref = 8\n",
      "config section [strong-rate] appears twice (line 3)"),
-    ("theta = 0.5\n[strong-rate]\n", "config line 1 comes before any [section] header"),
-    ("[strong-rate]\ngarbage\n", "config line 2 is not a 'key = value' pair"),
-], ids=["duplicate-key", "duplicate-section", "no-header", "no-equals"])
+    (b"theta = 0.5\n[strong-rate]\n", "config line 1 comes before any [section] header"),
+    (b"[strong-rate]\ngarbage\n", "config line 2 is not a 'key = value' pair"),
+    (b"[strong-rate]\nn_ref = 8\n# caf\xe9\n", "bad.ini' is not UTF-8 text"),
+], ids=["duplicate-key", "duplicate-section", "no-header", "no-equals", "not-utf8"])
 def test_malformed_config_file_exits_two(tmp_path, capsys, text, message):
-    path = _write(tmp_path / "bad.ini", text)
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    path = str(path)
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path, "strong-rate")
     out = str(tmp_path / "r")
@@ -271,13 +273,13 @@ def test_threads_beyond_usable_cpus_run_on_fewer_workers(tmp_path, monkeypatch):
     assert main(["weak-rate", "--config", cfg, "--threads", "1", "--out", out1]) == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     pools = []
-    executor = rates.ThreadPoolExecutor
+    executor = paths.ThreadPoolExecutor
 
     def recording_executor(max_workers):
         pools.append(max_workers)
         return executor(max_workers=max_workers)
 
-    monkeypatch.setattr(rates, "ThreadPoolExecutor", recording_executor)
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", recording_executor)
     assert main(["weak-rate", "--config", cfg, "--threads", "4", "--out", out4]) == 0
     # a pool of one worker still runs the executor path
     assert pools and set(pools) == {1}
@@ -512,6 +514,58 @@ def test_oscillatory_strong_rate_runs_with_the_default_gamma(tmp_path):
     out = str(tmp_path / "r")
     assert main(["strong-rate", "--config", cfg, "--out", out]) == 0
     assert _manifest(_run_dir(out, "strong-rate"))["config"]["gamma"] == "1.0"
+
+
+_TABLE_ROWS = "x,v,b1\n0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n1.0,1.0,1.0\n"
+
+
+@pytest.mark.parametrize("table,message", [
+    ("d,nx,nv\n1,x,2\n" + _TABLE_ROWS, "invalid literal for int()"),
+    ("d,nx,nv\n1,2\n" + _TABLE_ROWS, "not enough values to unpack"),
+    ("d,nx,nv\n1,2,2\n" + _TABLE_ROWS.replace("0.0,1.0,1.0", "0.0,1.0,oops"),
+     "could not convert string 'oops'"),
+], ids=["shape-not-int", "shape-two-values", "value-not-float"])
+def test_malformed_drift_table_exits_two_naming_table_path(tmp_path, capsys, table, message):
+    _write(tmp_path / "field.csv", table)
+    cfg = _write(tmp_path / "cfg.ini", (
+        f"[simulate]\nn = 4\ndrift = tabulated\ntable_path = {tmp_path / 'field.csv'}\n"))
+    out = str(tmp_path / "r")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"table_path {str(tmp_path / 'field.csv')!r} is not a drift table" in err
+    assert message in err
+    assert not os.path.exists(out)
+
+
+def test_tabulated_run_uses_the_table_it_hashed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    xs = np.linspace(-40.0, 40.0, 9)
+    tables = {}
+    for slope in (-0.5, -0.25):
+        buf = io.StringIO()
+        save_tabulated(TabulatedField(xs, xs, slope * np.broadcast_to(xs, (9, 9))), buf)
+        tables[slope] = buf.getvalue()
+    _write("field.csv", tables[-0.5])
+    cfg = _write("cfg.ini", (
+        "[simulate]\nn = 8\npaths = 2\ndrift = tabulated\ntable_path = field.csv\n"))
+    assert main(["simulate", "--config", cfg, "--out", "plain"]) == 0
+    load_tabulated = drifts.load_tabulated
+
+    def swap_then_load(fh):
+        # the file changes between the hash and the parse
+        _write("field.csv", tables[-0.25])
+        return load_tabulated(fh)
+
+    monkeypatch.setattr(drifts, "load_tabulated", swap_then_load)
+    assert main(["simulate", "--config", cfg, "--out", "swapped"]) == 0
+    with open("field.csv", encoding="utf-8") as fh:
+        assert fh.read() == tables[-0.25]
+    plain = _manifest(_run_dir("plain", "simulate"))
+    swapped = _manifest(_run_dir("swapped", "simulate"))
+    assert swapped["config"]["table_sha256"] == \
+        hashlib.sha256(tables[-0.5].encode("utf-8")).hexdigest()
+    assert swapped["config_hash"] == plain["config_hash"]
+    assert swapped["outputs"] == plain["outputs"]
 
 
 def test_tabulated_table_contents_enter_the_config_hash(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from kinetic_em.paths import (
     coarsen_block,
     increment_identity_report,
     prefix_integrals,
+    run_streams,
     sample_increment_block,
     sample_path,
 )
@@ -261,6 +262,30 @@ def test_increment_identity_renewal():
     assert rep.max_cov_sigmas() < 4.0
     assert rep.max_cross_sigmas() < 4.0
     assert rep.cov_expected[0, 0, 0] == pytest.approx(rep.t - rep.s)
+
+
+def test_increment_identity_report_is_chunk_invariant(monkeypatch):
+    g = GridSpec(n=8, d=2)
+    base = increment_identity_report(g, s_index=3, t_index=7, samples=1000, seed=4)
+    monkeypatch.setattr(paths, "_IDENTITY_CHUNK", 97)  # 10 full chunks and a partial one
+    rep = increment_identity_report(g, s_index=3, t_index=7, samples=1000, seed=4)
+    for name in ("cov", "cov_se", "cross", "cross_se"):
+        assert np.array_equal(getattr(rep, name), getattr(base, name)), name
+
+
+def test_run_streams_rows_do_not_depend_on_threads_or_chunk():
+    g = GridSpec(n=4, d=2)
+
+    def work(lo, hi, dw, di):
+        # every increment of each stream, one row per stream
+        return np.concatenate((dw, di), axis=2).transpose(1, 0, 2).reshape(hi - lo, -1)
+
+    one = run_streams(g, 11, ROLE_STRONG, 2, 50, 50, 1, work)
+    pooled = run_streams(g, 11, ROLE_STRONG, 2, 50, 7, 3, work)
+    assert one.shape == (50, 2 * g.num_steps * g.d)
+    assert np.array_equal(pooled, one)
+    dw, _ = sample_increment_block(g, 11, [stream_key(ROLE_STRONG, s, level=2) for s in range(50)])
+    assert np.array_equal(one[:, :g.d], dw[0])
 
 
 def test_increment_identity_validation():
