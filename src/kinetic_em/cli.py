@@ -7,9 +7,9 @@ is written atomically once everything else is on disk.  The exit code is 0
 iff every configured check passed.
 
 Each subcommand returns (outputs, checks, summary), where outputs yields
-(file name, text) pairs; `main` hashes each file as it arrives and writes
-them in batches of about 1 MiB, so a run's memory does not grow with the
-number of outputs.
+(file name, text) pairs, every report table formatted by `_csv_text`;
+`main` hashes each file as it arrives and writes them in batches of about
+1 MiB, so a run's memory does not grow with the number of outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import resource
 import sys
 import tempfile
 import time
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -48,8 +49,6 @@ from .paths import GridSpec, coarsen, sample_path, worker_count
 from .rates import (
     _check_finite,
     default_test_functions,
-    rate_report_summary,
-    rate_report_to_csv,
     strong_error,
     taming_demo,
     tv_proxy,
@@ -228,6 +227,10 @@ def effective_config(subcommand: str, file_values: dict, flag_values: dict) -> d
 
 
 def _canon(value) -> str:
+    """A value as config-hash and CSV text.
+
+    A float is its repr and a bool lower case; a sequence is comma-joined.
+    """
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -285,11 +288,29 @@ def _initial_from_config(cfg: dict):
     return PhaseState(*state)
 
 
-def _report_text(report) -> str:
-    """A RateReport as the CSV text of `rate_report_to_csv`."""
-    buf = io.StringIO()
-    rate_report_to_csv(report, buf)
-    return buf.getvalue()
+def _csv_text(header, rows) -> str:
+    """CSV text of one header line and one line per row, each cell as `_canon`."""
+    return "".join(_canon(row) + "\n" for row in (header, *rows))
+
+
+def _rate_csv(report) -> str:
+    """One row per level: n, error, se."""
+    return _csv_text(("n", "error", "se"),
+                     zip(report.levels, report.errors, report.errors_se))
+
+
+def _rate_summary(report) -> dict:
+    """JSON-ready summary: slope with uncertainty plus the level table."""
+    return {
+        "exact": report.exact,
+        "slope": None if math.isnan(report.slope) else report.slope,
+        "slope_se": None if math.isnan(report.slope_se) else report.slope_se,
+        "slope_label": report.slope_label,
+        "levels": list(report.levels),
+        "errors": list(report.errors),
+        "errors_se": list(report.errors_se),
+        "metadata": report.metadata,
+    }
 
 
 class Check:
@@ -365,7 +386,7 @@ def cmd_strong_rate(cfg: dict, threads: int, drift):
         threads=threads, bootstrap=cfg["bootstrap"],
     )
     checks = _slope_checks(report, cfg["min_slope"], cfg["max_slope_se"])
-    return {"rates.csv": _report_text(report)}.items(), checks, rate_report_summary(report)
+    return {"rates.csv": _rate_csv(report)}.items(), checks, _rate_summary(report)
 
 
 def cmd_weak_rate(cfg: dict, threads: int, drift):
@@ -379,20 +400,17 @@ def cmd_weak_rate(cfg: dict, threads: int, drift):
     outputs = {}
     for idx, report in enumerate(result.reports):
         name = "rates.csv" if len(result.reports) == 1 else f"rates_t{idx}.csv"
-        outputs[name] = _report_text(report)
-    buf = io.StringIO()
-    buf.write("t,level,f,mean_ref,se_ref,mean_level,se_level,err,se\n")
-    for o in result.observations:
-        buf.write(f"{o.t!r},{o.level},{o.name},{o.mean_ref!r},{o.se_ref!r},"
-                  f"{o.mean_level!r},{o.se_level!r},{o.err!r},{o.se!r}\n")
-    outputs["detail.csv"] = buf.getvalue()
+        outputs[name] = _rate_csv(report)
+    outputs["detail.csv"] = _csv_text(
+        ("t", "level", "f", "mean_ref", "se_ref", "mean_level", "se_level", "err", "se"),
+        (astuple(o) for o in result.observations))
     checks = _slope_checks(result.primary, cfg["min_slope"], cfg["max_slope_se"])
     if cfg["max_null_sigma"] is not None:
         sig = max(o.err / o.se for o in result.observations if o.se > 0)
         checks.append(Check("max_null_sigma", sig <= cfg["max_null_sigma"],
                             f"max |err|/se {sig:.3f} vs allowed <= {cfg['max_null_sigma']}"))
     summary = {
-        "reports": [rate_report_summary(r) for r in result.reports],
+        "reports": [_rate_summary(r) for r in result.reports],
         "tv_sq_proxy": list(result.tv_sq_proxy),
         "t_eval": list(result.t_eval),
     }
@@ -402,13 +420,10 @@ def cmd_weak_rate(cfg: dict, threads: int, drift):
 def cmd_taming_demo(cfg: dict, threads: int, drift):
     demo = taming_demo(cfg["levels"], samples=cfg["samples"], seed=cfg["seed"],
                        horizon=cfg["horizon"], d=cfg["d"])
-    outputs = {"uncorrected.csv": _report_text(demo.uncorrected),
-               "shifted.csv": _report_text(demo.shifted)}
-    buf = io.StringIO()
-    buf.write("n,gap,se\n")
-    for n, g, s in zip(demo.uncorrected.levels, demo.gap_means, demo.gap_ses):
-        buf.write(f"{n},{g!r},{s!r}\n")
-    outputs["gaps.csv"] = buf.getvalue()
+    outputs = {"uncorrected.csv": _rate_csv(demo.uncorrected),
+               "shifted.csv": _rate_csv(demo.shifted),
+               "gaps.csv": _csv_text(("n", "gap", "se"), zip(
+                   demo.uncorrected.levels, demo.gap_means, demo.gap_ses))}
     checks = (_slope_checks(demo.uncorrected, cfg["min_i_slope"], None,
                             cfg["max_i_slope"], tag="i_")
               + _slope_checks(demo.shifted, cfg["min_j_slope"], None, tag="j_"))
@@ -419,8 +434,8 @@ def cmd_taming_demo(cfg: dict, threads: int, drift):
         checks.append(Check("shift_no_worse", ok,
                             f"min over levels of gap+2se = {worst:.3g} (needs >= 0)"))
     summary = {
-        "uncorrected": rate_report_summary(demo.uncorrected),
-        "shifted": rate_report_summary(demo.shifted),
+        "uncorrected": _rate_summary(demo.uncorrected),
+        "shifted": _rate_summary(demo.shifted),
         "gap_means": list(demo.gap_means),
         "gap_ses": list(demo.gap_ses),
     }
@@ -459,12 +474,10 @@ def cmd_kernel_check(cfg: dict, threads: int, drift):
 
     checks = [Check(name, err <= tol, f"error {err:.3g} vs tolerance {tol:.3g}")
               for name, err, tol in rows]
-    buf = io.StringIO()
-    buf.write("check,error,tolerance,passed\n")
-    for (name, err, tol), chk in zip(rows, checks):
-        buf.write(f"{name},{err!r},{tol!r},{str(chk.passed).lower()}\n")
+    text = _csv_text(("check", "error", "tolerance", "passed"),
+                     (row + (chk.passed,) for row, chk in zip(rows, checks)))
     summary = {"checks": [c.as_dict() for c in checks]}
-    return {"kernel_checks.csv": buf.getvalue()}.items(), checks, summary
+    return {"kernel_checks.csv": text}.items(), checks, summary
 
 
 def cmd_tv_proxy(cfg: dict, threads: int, drift):
@@ -474,17 +487,17 @@ def cmd_tv_proxy(cfg: dict, threads: int, drift):
         initial=_initial_from_config(cfg), quad_order=cfg["quad_order"],
         threads=threads, radius_sds=cfg["radius_sds"],
     )
-    buf = io.StringIO()
-    buf.write("n,n_ref,t,bins,estimate,diagnostic_2x,noise_floor\n")
-    buf.write(f"{cfg['n']},{cfg['n_ref']},{cfg['t']!r},{report.bins},"
-              f"{report.estimate!r},{report.diagnostic!r},{report.noise_floor!r}\n")
+    text = _csv_text(
+        ("n", "n_ref", "t", "bins", "estimate", "diagnostic_2x", "noise_floor"),
+        [(cfg["n"], cfg["n_ref"], cfg["t"], report.bins,
+          report.estimate, report.diagnostic, report.noise_floor)])
     summary = {
         "estimate": report.estimate,
         "diagnostic_2x": report.diagnostic,
         "noise_floor": report.noise_floor,
         "metadata": report.metadata,
     }
-    return {"tv.csv": buf.getvalue()}.items(), [], summary
+    return {"tv.csv": text}.items(), [], summary
 
 
 _DISPATCH = {

@@ -302,9 +302,11 @@ def kernel_mass(t: float, d: int = 1, points: int | None = None) -> float:
         awx[:, None, None] * awv[None, :, None] * awv[None, None, :]
     )  # weights for (x2, v1, v2)
     x2, v1, v2 = np.meshgrid(ax, av, av, indexing="ij")
+    # the slabs differ only in x1, so the rest of (x, v) is built once
+    x = np.stack([np.empty_like(x2), x2], axis=-1)
+    v = np.stack([v1, v2], axis=-1)
     for i in range(points):
-        x = np.stack([np.full_like(x2, ax[i]), x2], axis=-1)
-        v = np.stack([v1, v2], axis=-1)
+        x[..., 0] = ax[i]
         vals = kernel_density(t, x=x, v=v)
         total += awx[i] * float(np.sum(vals * wrest))
     return total

@@ -310,7 +310,12 @@ class IncrementIdentityReport:
         return float(np.max(np.abs(self.cov - self.cov_expected) / self.cov_se))
 
     def max_cross_sigmas(self) -> float:
-        return float(np.max(np.abs(self.cross) / self.cross_se))
+        # at s = 0, (W_s, I_s) is identically 0: a zero cross with a zero
+        # standard error is 0 sigmas, not 0/0
+        sigmas = np.divide(np.abs(self.cross), self.cross_se,
+                           out=np.where(self.cross == 0.0, 0.0, np.inf),
+                           where=self.cross_se > 0.0)
+        return float(np.max(sigmas))
 
 
 # Streams sampled per block in increment_identity_report.

@@ -9,6 +9,7 @@ the per-sample rows the work function returns in stream order; all
 reductions happen single-threaded afterwards.  Reports are therefore bitwise
 reproducible for a given (config, seed) whatever the thread count; the chunk
 sizes are module constants, and the results do not depend on them either.
+The reports are numbers; `cli` writes them as text.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -815,28 +816,3 @@ def tv_proxy(
             "radius_sds": radius_sds,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Report serialization
-
-
-def rate_report_to_csv(report: RateReport, fh: TextIO) -> None:
-    """Write one row per level: n, error, se."""
-    fh.write("n,error,se\n")
-    for n, err, se in zip(report.levels, report.errors, report.errors_se):
-        fh.write(f"{n},{err!r},{se!r}\n")
-
-
-def rate_report_summary(report: RateReport) -> dict:
-    """JSON-ready summary: slope with uncertainty plus the level table."""
-    return {
-        "exact": report.exact,
-        "slope": None if math.isnan(report.slope) else report.slope,
-        "slope_se": None if math.isnan(report.slope_se) else report.slope_se,
-        "slope_label": report.slope_label,
-        "levels": list(report.levels),
-        "errors": list(report.errors),
-        "errors_se": list(report.errors_se),
-        "metadata": report.metadata,
-    }

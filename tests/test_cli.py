@@ -2,6 +2,7 @@ import glob
 import hashlib
 import io
 import json
+import math
 import os
 import re
 
@@ -15,6 +16,7 @@ from kinetic_em.cli import config_hash, effective_config, load_config, main
 from kinetic_em.drifts import TabulatedField, save_tabulated
 from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.paths import GridSpec, prefix_integrals, sample_path, worker_count
+from kinetic_em.rates import RateReport
 from kinetic_em._rng import ROLE_SIMULATE, stream_key
 
 
@@ -482,6 +484,88 @@ def test_config_hashes_are_pinned(tmp_path, sub):
         cli._resolve_drift_config(cfg, file_values)
         hashes.append(config_hash(cfg))
     assert hashes == pins
+
+
+# sha256 of every output file but the manifest, for three small runs at seed
+# 0.  None of them calls numpy's CPU-dispatched exp or sin, so the bytes are
+# as portable as the golden digests of the sampler.
+_OUTPUT_PINS = {
+    "simulate": ("drift = sign_velocity\nn = 16\nsample_at = 64\npaths = 5\ninitial_v = 1\n", {
+        "path_0000.csv": "a89ba583b26ba362440f7fa71349d05cda9440a8af19212792a584b66920ae85",
+        "path_0001.csv": "7e0aad0b41b2fb559b69865e693b07e5f736fcc35b8e5a137c1a75a7c8b9de60",
+        "path_0002.csv": "7e4c38ca5ac55d3f7d1a647c0aab69de357e597dd78cfb4fa66b881f80e8b96d",
+        "path_0003.csv": "78c97fecb2e939602935705cbe053222486e09440c0b46b5edede03f31b726c7",
+        "path_0004.csv": "6274b9c2ceefd0a4af202f259f70b2af4e8910a500e9b0c7ef03d5ff3b9bbd02",
+    }),
+    "strong-rate": ("levels = 4, 8, 16\nn_ref = 16\nsamples = 200\nbootstrap = 20\n", {
+        "rates.csv": "f4de18cc3dd02b2c36d9cbfc59cc9147e559cb8f7f267ef7ff998d53ecc63f7b",
+    }),
+    "tv-proxy": ("n = 4\nn_ref = 16\nbins = 8\nsamples = 600\n", {
+        "tv.csv": "6b9563d88c82c8d393cce60bebaa7bdee12af7de2aa7dc682ef8493911a954ef",
+    }),
+}
+
+
+@pytest.mark.parametrize("sub", list(_OUTPUT_PINS))
+def test_output_bytes_are_pinned(tmp_path, sub):
+    section, pins = _OUTPUT_PINS[sub]
+    cfg = _write(tmp_path / "cfg.ini", f"[{sub}]\n{section}")
+    out = str(tmp_path / "runs")
+    assert main([sub, "--config", cfg, "--out", out]) == 0
+    run = _run_dir(out, sub)
+    digests = {}
+    for name in sorted(os.listdir(run)):
+        if name != "manifest.json":
+            with open(os.path.join(run, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == pins
+    assert _manifest(run)["outputs"] == pins
+
+
+# The per-row f-strings each report file was written with before one writer
+# served them all; the writer must give the same text for any cell value.
+_SPECIALS = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e22, 0.1, 1.0 / 3.0)
+_OLD_FORMATS = {
+    "rates": ("n,error,se",
+              lambda n, err, se: f"{n},{err!r},{se!r}\n",
+              [(4, e, s) for e, s in zip(_SPECIALS, _SPECIALS[::-1])] + [(2**40, 0.5, 0.0)]),
+    "detail": ("t,level,f,mean_ref,se_ref,mean_level,se_level,err,se",
+               lambda t, lv, f, mr, sr, ml, sl, e, s: (
+                   f"{t!r},{lv},{f},{mr!r},{sr!r},{ml!r},{sl!r},{e!r},{s!r}\n"),
+               [(1.0, 16, "sin_v1", *_SPECIALS[:6]),
+                (0.5, 256, "hermite_v1", *_SPECIALS[2:])]),
+    "gaps": ("n,gap,se",
+             lambda n, g, s: f"{n},{g!r},{s!r}\n",
+             [(16, g, s) for g, s in zip(_SPECIALS, _SPECIALS[1:])]),
+    "kernel": ("check,error,tolerance,passed",
+               lambda name, err, tol, ok: f"{name},{err!r},{tol!r},{str(ok).lower()}\n",
+               [("mass_d2_t1", e, 1e-8, e <= 1e-8) for e in _SPECIALS]),
+    "tv": ("n,n_ref,t,bins,estimate,diagnostic_2x,noise_floor",
+           lambda n, nr, t, b, e, d, f: f"{n},{nr},{t!r},{b},{e!r},{d!r},{f!r}\n",
+           [(16, 256, 1.0, 24, 5e-324, math.nan, -0.0),
+            (4, 16, 0.1, 8, math.inf, 1e22, 1.0 / 3.0)]),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_OLD_FORMATS))
+def test_csv_text_matches_the_old_formats(fmt):
+    header, line, rows = _OLD_FORMATS[fmt]
+    old = header + "\n" + "".join(line(*row) for row in rows)
+    assert cli._csv_text(header.split(","), rows) == old
+
+
+def test_rate_report_csv_and_summary():
+    rep = RateReport((4, 8), (0.5, 0.25), (0.01, 0.005), 1.0, 0.125,
+                     metadata={"experiment": "demo"})
+    lines = cli._rate_csv(rep).splitlines()
+    assert lines[0] == "n,error,se"
+    assert lines[1] == "4,0.5,0.01"
+    summary = cli._rate_summary(rep)
+    assert summary["slope"] == 1.0
+    assert summary["levels"] == [4, 8]
+    nan = float("nan")
+    empty = cli._rate_summary(RateReport((4, 8), (1.0, 0.5), (0.0, 0.0), nan, nan))
+    assert empty["slope"] is None
 
 
 def test_subcommand_and_drift_key_tables_agree():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,16 @@ def test_increment_identity_renewal():
     assert rep.max_cov_sigmas() < 4.0
     assert rep.max_cross_sigmas() < 4.0
     assert rep.cov_expected[0, 0, 0] == pytest.approx(rep.t - rep.s)
+
+
+def test_increment_identity_report_from_time_zero_has_zero_cross_sigmas():
+    # (W_0, I_0) = 0, so every cross covariance and its standard error are 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = increment_identity_report(GridSpec(n=16), s_index=0, t_index=8, samples=200)
+        assert np.all(rep.cross == 0.0) and np.all(rep.cross_se == 0.0)
+        assert rep.max_cross_sigmas() == 0.0
+        assert rep.max_cov_sigmas() < 4.0
 
 
 def test_increment_identity_report_is_chunk_invariant(monkeypatch):

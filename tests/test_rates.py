@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 import warnings
@@ -14,8 +13,6 @@ from kinetic_em.rates import (
     RateReport,
     default_test_functions,
     fit_rate,
-    rate_report_summary,
-    rate_report_to_csv,
     strong_error,
     taming_demo,
     tv_proxy,
@@ -270,19 +267,3 @@ def test_tv_proxy_decreases_with_resolution():
     assert hi.estimate > lo.estimate
     rep2 = tv_proxy(sign_velocity(), 0.5, 8, 256, samples=16000, seed=2, threads=4)
     assert rep2.estimate == hi.estimate
-
-
-def test_rate_report_csv_and_summary():
-    rep = RateReport((4, 8), (0.5, 0.25), (0.01, 0.005), 1.0, 0.125,
-                     metadata={"experiment": "demo"})
-    buf = io.StringIO()
-    rate_report_to_csv(rep, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,error,se"
-    assert lines[1] == "4,0.5,0.01"
-    summary = rate_report_summary(rep)
-    assert summary["slope"] == 1.0
-    assert summary["levels"] == [4, 8]
-    nan = float("nan")
-    empty = rate_report_summary(RateReport((4, 8), (1.0, 0.5), (0.0, 0.0), nan, nan))
-    assert empty["slope"] is None
