@@ -55,9 +55,8 @@ from .paths import (
     sample_path,
 )
 from .rates import (
+    TEST_FUNCTIONS,
     RateReport,
-    TestFunctionSet,
-    default_test_functions,
     fit_rate,
     strong_error,
     taming_demo,
@@ -82,13 +81,12 @@ __all__ = [
     "PhaseState",
     "RateReport",
     "TabulatedField",
-    "TestFunctionSet",
+    "TEST_FUNCTIONS",
     "Trajectory",
     "available_backends",
     "backend_name",
     "coarsen",
     "constant_drift",
-    "default_test_functions",
     "drift_from_name",
     "exact_linear_solve",
     "fit_rate",

@@ -46,14 +46,7 @@ from .kernel import (
     scaling_identity_error,
 )
 from .paths import GridSpec, coarsen, sample_path, worker_count
-from .rates import (
-    _check_finite,
-    default_test_functions,
-    strong_error,
-    taming_demo,
-    tv_proxy,
-    weak_error,
-)
+from .rates import _check_finite, strong_error, taming_demo, tv_proxy, weak_error
 
 # the keys some drift takes, each once, in catalog order
 _DRIFT_PARAM_KEYS = tuple(dict.fromkeys(k for keys in _DRIFT_PARAMS.values() for k in keys))
@@ -391,8 +384,7 @@ def cmd_strong_rate(cfg: dict, threads: int, drift):
 
 def cmd_weak_rate(cfg: dict, threads: int, drift):
     result = weak_error(
-        drift, cfg["theta"], cfg["levels"], cfg["n_ref"],
-        fset=default_test_functions(cfg["d"]), t_eval=cfg["t_eval"],
+        drift, cfg["theta"], cfg["levels"], cfg["n_ref"], t_eval=cfg["t_eval"],
         samples=cfg["samples"], seed=cfg["seed"], ref_samples=cfg["ref_samples"],
         d=cfg["d"], horizon=cfg["horizon"], initial=_initial_from_config(cfg),
         quad_order=cfg["quad_order"], threads=threads,

@@ -302,8 +302,16 @@ def admissibility_bound(drift: DriftSpec, d: int) -> float | None:
 
 
 def mollify(drift: DriftSpec, n: int, theta: float, d: int = 1) -> MollifiedDrift:
-    """Build the mollified drift; rejects theta above the labeled admissibility bound."""
+    """Build the mollified drift for dimension d.
+
+    Rejects theta above the labeled admissibility bound, a tabulated drift
+    at d > 1 and a constant drift whose length is neither 1 nor d.
+    """
     md = MollifiedDrift(base=drift, n=n, theta=theta)
+    if drift.kind == "tabulated" and d != 1:
+        raise ConfigError(f"d must be 1 for drift tabulated, got {d}")
+    if drift.kind == "constant" and len(drift.constant) not in (1, d):
+        raise ConfigError(f"c must have 1 or d={d} entries, got {len(drift.constant)}")
     bound = admissibility_bound(drift, d)
     if bound is not None and md.theta >= bound:
         raise ConfigError(

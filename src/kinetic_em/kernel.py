@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -132,16 +131,27 @@ def _check_time(t: float) -> float:
     return float(t)
 
 
-def kernel_density(t: float, z=None, *, x=None, v=None) -> np.ndarray | float:
-    """Density of G_t = (integral component x, endpoint component v) at z.
+def _exponent_terms(t: float, x, v):
+    """The per-dimension terms (x^2, (3x - 2tv)^2) of g_t's exponent."""
+    return x * x, (3.0 * x - 2.0 * t * v) ** 2
+
+
+def _density(t: float, d: int, sq, cross):
+    """g_t from its exponent terms summed over the d dimensions."""
+    expo = -(3.0 * sq + cross) / (2.0 * t**3)
+    log_pref = d * (0.5 * math.log(3.0) - math.log(math.pi) - 2.0 * math.log(t))
+    return np.exp(log_pref + expo)
+
+
+def kernel_density(t: float, x, v) -> np.ndarray | float:
+    """Density of G_t = (integral component x, endpoint component v).
 
     Parameters
     ----------
     t : float
         Positive time.
-    z : PhaseState or (x, v) pair, optional
-        Evaluation point; alternatively pass `x` and `v` arrays of shape
-        (..., d) for vectorized evaluation.
+    x, v : array_like
+        Evaluation points, arrays of matching shape (..., d).
 
     Returns
     -------
@@ -153,19 +163,13 @@ def kernel_density(t: float, z=None, *, x=None, v=None) -> np.ndarray | float:
         ``sqrt(3) / (pi t^2)`` so that the density integrates to one.
     """
     t = _check_time(t)
-    if z is not None:
-        zz = as_phase_state(z)
-        x, v = zz.x, zz.v
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if x.shape != v.shape:
         raise DomainError("x and v must have matching shapes")
     d = x.shape[-1] if x.ndim else 1
-    sq = np.sum(x * x, axis=-1)
-    cross = np.sum((3.0 * x - 2.0 * t * v) ** 2, axis=-1)
-    expo = -(3.0 * sq + cross) / (2.0 * t**3)
-    log_pref = d * (0.5 * math.log(3.0) - math.log(math.pi) - 2.0 * math.log(t))
-    out = np.exp(log_pref + expo)
+    sq, cross = _exponent_terms(t, x, v)
+    out = _density(t, d, np.sum(sq, axis=-1), np.sum(cross, axis=-1))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -173,10 +177,8 @@ def scaling_identity_error(t: float, z) -> float:
     """Relative error of the parabolic scaling g_t(x,v) = t^-2d g_1(t^-3/2 x, t^-1/2 v)."""
     t = _check_time(t)
     zz = as_phase_state(z)
-    lhs = kernel_density(t, zz)
-    sc = t ** (-2.0 * zz.d) * kernel_density(
-        1.0, PhaseState(t**-1.5 * zz.x, t**-0.5 * zz.v)
-    )
+    lhs = kernel_density(t, zz.x, zz.v)
+    sc = t ** (-2.0 * zz.d) * kernel_density(1.0, t**-1.5 * zz.x, t**-0.5 * zz.v)
     return abs(lhs - sc) / max(abs(sc), np.finfo(float).tiny)
 
 
@@ -184,7 +186,8 @@ def covariance_form_error(t: float, z) -> float:
     """Relative gap between the closed-form exponent and 1/2 z^T Sigma(t)^-1 z."""
     t = _check_time(t)
     zz = as_phase_state(z)
-    expo = (3.0 * np.sum(zz.x**2) + np.sum((3.0 * zz.x - 2.0 * t * zz.v) ** 2)) / (2.0 * t**3)
+    sq, cross = _exponent_terms(t, zz.x, zz.v)
+    expo = (3.0 * np.sum(sq) + np.sum(cross)) / (2.0 * t**3)
     inv = np.linalg.inv(KernelCovariance(t).matrix)
     quad = 0.0
     for i in range(zz.d):
@@ -255,17 +258,17 @@ def kernel_grid(t: float, points: int = 257) -> PhaseGrid1D:
 def mixed_lp_norm(f, p: MixedExponent, grid: PhaseGrid1D) -> float:
     """Mixed norm: p_x over the position axis inside, p_v over velocity outside.
 
-    `f` may be a callable f(x, v) evaluated on the tensor grid or an array of
-    values with shape (len(grid.x), len(grid.v)).  Infinite exponents are
-    computed as grid maxima.
+    The callable `f(x, v)` takes the tensor grid's position and velocity
+    arrays, of shape (len(grid.x), len(grid.v), 1), and returns values of
+    shape (len(grid.x), len(grid.v)).  Infinite exponents are computed as
+    grid maxima.
     """
     if not isinstance(p, MixedExponent):
         p = MixedExponent(*p)
-    if callable(f):
-        xx, vv = np.meshgrid(grid.x, grid.v, indexing="ij")
-        vals = np.asarray(f(xx[..., None], vv[..., None]), dtype=np.float64)
-    else:
-        vals = np.asarray(f, dtype=np.float64)
+    if not callable(f):
+        raise ConfigError(f"f must be a callable f(x, v), got {type(f).__name__}")
+    xx, vv = np.meshgrid(grid.x, grid.v, indexing="ij")
+    vals = np.asarray(f(xx[..., None], vv[..., None]), dtype=np.float64)
     if vals.shape != (grid.x.size, grid.v.size):
         raise DomainError(
             f"gridded values have shape {vals.shape}, expected {(grid.x.size, grid.v.size)}"
@@ -302,12 +305,11 @@ def kernel_mass(t: float, d: int = 1, points: int | None = None) -> float:
         awx[:, None, None] * awv[None, :, None] * awv[None, None, :]
     )  # weights for (x2, v1, v2)
     x2, v1, v2 = np.meshgrid(ax, av, av, indexing="ij")
-    # the slabs differ only in x1, so the rest of (x, v) is built once
-    x = np.stack([np.empty_like(x2), x2], axis=-1)
-    v = np.stack([v1, v2], axis=-1)
+    # the slabs differ only in x1, so the second dimension's terms are formed once
+    sq2, cross2 = _exponent_terms(t, x2, v2)
     for i in range(points):
-        x[..., 0] = ax[i]
-        vals = kernel_density(t, x=x, v=v)
+        sq1, cross1 = _exponent_terms(t, ax[i], v1)
+        vals = _density(t, 2, sq1 + sq2, cross1 + cross2)
         total += awx[i] * float(np.sum(vals * wrest))
     return total
 
@@ -316,10 +318,11 @@ def kernel_norm_exponent_fit(
     p: MixedExponent,
     alpha: float = 0.0,
     beta: float = 0.0,
-    t_values: Sequence[float] = (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0),
     points: int = 257,
 ) -> tuple[float, float, list[float]]:
     """Fit the time-scaling exponent of t -> || |x|^alpha |v|^beta g_t ||_p (d = 1).
+
+    The times are 1/16, 1/8, 1/4, 1/2 and 1.
 
     Returns
     -------
@@ -331,15 +334,14 @@ def kernel_norm_exponent_fit(
     """
     if not isinstance(p, MixedExponent):
         p = MixedExponent(*p)
-    if len(t_values) < 2:
-        raise ConfigError("need at least two times to fit an exponent")
+    t_values = (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0)
     norms = []
     for t in t_values:
         grid = kernel_grid(t, points=points)
 
         def weighted(x, v, _t=t):
             w = np.abs(x[..., 0]) ** alpha * np.abs(v[..., 0]) ** beta
-            return w * kernel_density(_t, x=x, v=v)
+            return w * kernel_density(_t, x, v)
 
         norms.append(mixed_lp_norm(weighted, p, grid))
     ix = 0.0 if math.isinf(p.p_x) else 1.0 / p.p_x

@@ -349,28 +349,20 @@ def increment_identity_report(
         return np.stack((w[t_index] - ws, iarr[t_index] - (is_ + dt * ws), ws, is_), axis=-1)
 
     feats = run_streams(head, seed, ROLE_INCREMENT_CHECK, 0, samples, _IDENTITY_CHUNK, 1, work)
-    cov = np.empty((d, 2, 2))
-    cov_se = np.empty((d, 2, 2))
-    cross = np.empty((d, 2, 2))
-    cross_se = np.empty((d, 2, 2))
-    centered = feats - feats.mean(axis=0)
-    for i in range(d):
-        for a in range(2):
-            for b in range(2):
-                prod = centered[:, i, a] * centered[:, i, b]
-                cov[i, a, b] = prod.mean()
-                cov_se[i, a, b] = prod.std(ddof=1) / math.sqrt(samples)
-                prod = centered[:, i, a] * centered[:, i, 2 + b]
-                cross[i, a, b] = prod.mean()
-                cross_se[i, a, b] = prod.std(ddof=1) / math.sqrt(samples)
+    # per dimension, (D_W, D_I) times each of the four centered features,
+    # stream-major so that each mean runs over one contiguous row
+    centered = (feats - feats.mean(axis=0)).transpose(1, 2, 0).copy()
+    prod = centered[:, :2, None, :] * centered[:, None, :, :]
+    mean = prod.mean(axis=-1)
+    se = prod.std(axis=-1, ddof=1) / math.sqrt(samples)
     expected = np.broadcast_to(KernelCovariance(dt).matrix, (d, 2, 2)).copy()
     return IncrementIdentityReport(
         s=s_index * h,
         t=t_index * h,
         samples=samples,
-        cov=cov,
-        cov_se=cov_se,
+        cov=mean[:, :, :2],
+        cov_se=se[:, :, :2],
         cov_expected=expected,
-        cross=cross,
-        cross_se=cross_se,
+        cross=mean[:, :, 2:],
+        cross_se=se[:, :, 2:],
     )

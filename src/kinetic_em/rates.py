@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -215,68 +216,20 @@ def _fitted_report(levels, errors, ses, metadata: dict) -> RateReport:
 # Test functions for weak error / total variation lower bounds
 
 
-@dataclass(frozen=True)
-class TestFunctionSet:
-    """Named observables f(x, v) -> scalar per sample, each with sup norm <= 1.
-
-    The boundedness makes any |E f(Z_ref) - E f(Z_n)| a valid lower bound for
-    the total variation distance between the two laws.  Callables take
-    (samples, d) position and velocity arrays and return a (samples,) array.
-    """
-
-    names: tuple[str, ...]
-    funcs: tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], ...]
-
-    def __post_init__(self):
-        names = tuple(str(s) for s in self.names)
-        funcs = tuple(self.funcs)
-        if not names or len(names) != len(funcs):
-            raise ConfigError("names and funcs must be nonempty and of equal length")
-        if len(set(names)) != len(names):
-            raise ConfigError(f"test function names must be unique, got {names}")
-        if not all(callable(f) for f in funcs):
-            raise ConfigError("every test function must be callable")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "funcs", funcs)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-def default_test_functions(d: int = 1) -> TestFunctionSet:
-    """Eight bounded smooth observables mixing odd and even symmetry."""
-    check_int("d", d, 1)
-
-    def sin_v1(x, v):
-        return np.sin(v[:, 0])
-
-    def cos_v1(x, v):
-        return np.cos(v[:, 0])
-
-    def sin_x1(x, v):
-        return np.sin(x[:, 0])
-
-    def cos_x1(x, v):
-        return np.cos(x[:, 0])
-
-    def sin_x1_plus_v1(x, v):
-        return np.sin(x[:, 0] + v[:, 0])
-
-    def gauss_bump(x, v):
-        return np.exp(-(x * x).sum(axis=1) - (v * v).sum(axis=1))
-
-    def hermite_x1(x, v):
-        return x[:, 0] * np.exp(-0.5 * x[:, 0] ** 2)
-
-    def hermite_v1(x, v):
-        return v[:, 0] * np.exp(-0.5 * v[:, 0] ** 2)
-
-    return TestFunctionSet(
-        names=("sin_v1", "cos_v1", "sin_x1", "cos_x1", "sin_x1_plus_v1",
-               "gauss_bump", "hermite_x1", "hermite_v1"),
-        funcs=(sin_v1, cos_v1, sin_x1, cos_x1, sin_x1_plus_v1,
-               gauss_bump, hermite_x1, hermite_v1),
-    )
+# Bounded smooth observables f(x, v) mixing odd and even symmetry, each with
+# sup norm <= 1, so any |E f(Z_ref) - E f(Z_n)| is a lower bound for the total
+# variation distance between the two laws.  Each takes (samples, d) position
+# and velocity arrays and returns a (samples,) array.
+TEST_FUNCTIONS: Mapping[str, Callable] = MappingProxyType({
+    "sin_v1": lambda x, v: np.sin(v[:, 0]),
+    "cos_v1": lambda x, v: np.cos(v[:, 0]),
+    "sin_x1": lambda x, v: np.sin(x[:, 0]),
+    "cos_x1": lambda x, v: np.cos(x[:, 0]),
+    "sin_x1_plus_v1": lambda x, v: np.sin(x[:, 0] + v[:, 0]),
+    "gauss_bump": lambda x, v: np.exp(-(x * x).sum(axis=1) - (v * v).sum(axis=1)),
+    "hermite_x1": lambda x, v: x[:, 0] * np.exp(-0.5 * x[:, 0] ** 2),
+    "hermite_v1": lambda x, v: v[:, 0] * np.exp(-0.5 * v[:, 0] ** 2),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +434,7 @@ def weak_error(
     theta: float,
     levels,
     n_ref: int,
-    fset: TestFunctionSet | None = None,
+    fset: Mapping[str, Callable] = TEST_FUNCTIONS,
     t_eval: Sequence[float] = (1.0,),
     samples: int = 100_000,
     seed: int = 0,
@@ -493,7 +446,7 @@ def weak_error(
     quad_order: int = 8,
     threads: int = 1,
 ) -> WeakErrorReport:
-    """Law-level error |E f(Z_ref_t) - E f(Z_n_t)| over test functions.
+    """Law-level error |E f(Z_ref_t) - E f(Z_n_t)| over the test functions `fset`.
 
     Reference and level runs use independent streams (no coupling: this is a
     statement about laws).  Per time the aggregate error is the max over the
@@ -510,8 +463,9 @@ def weak_error(
     t_eval = tuple(check_real("t_eval", t, 0, strict=True) for t in t_eval)
     if not t_eval or any(b <= a for a, b in zip(t_eval, t_eval[1:])):
         raise ConfigError(f"t_eval must be nonempty and strictly increasing, got {t_eval}")
-    if fset is None:
-        fset = default_test_functions(d)
+    if not (isinstance(fset, Mapping) and fset and all(map(callable, fset.values()))):
+        raise ConfigError(f"fset must be a non-empty mapping of name to f(x, v), got {fset!r}")
+    names, funcs = tuple(fset), tuple(fset.values())
     threads = check_int("threads", threads, 1)
 
     grid_ref = GridSpec(n=n_ref, horizon=horizon, d=d)
@@ -532,7 +486,7 @@ def weak_error(
             for ti, k in enumerate(ks):
                 slot = k // stride - 1
                 xs, vs = rec_x[slot], rec_v[slot]
-                for fi, f in enumerate(fset.funcs):
+                for fi, f in enumerate(funcs):
                     vals[:, ti, fi] = f(xs, vs)
             return vals
 
@@ -548,7 +502,7 @@ def weak_error(
         errs[:, li, :] = np.abs(mu_ref - mu)
         errs_se[:, li, :] = np.hypot(se_ref, se)
         for ti, t in enumerate(t_eval):
-            for fi, name in enumerate(fset.names):
+            for fi, name in enumerate(names):
                 observations.append(WeakObservation(
                     t=t, level=n, name=name,
                     mean_ref=float(mu_ref[ti, fi]), se_ref=float(se_ref[ti, fi]),
@@ -572,7 +526,7 @@ def weak_error(
         "d": d,
         "horizon": horizon,
         "initial": [list(map(float, x0)), list(map(float, v0))],
-        "test_functions": list(fset.names),
+        "test_functions": list(names),
     }
     reports = [_fitted_report(levels, agg[ti], agg_se[ti], dict(base_meta, t=t))
                for ti, t in enumerate(t_eval)]

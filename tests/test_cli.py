@@ -220,6 +220,38 @@ def test_taming_demo_shift_improves_rate(tmp_path):
         assert os.path.exists(os.path.join(run, name))
 
 
+@pytest.mark.parametrize("bound,code", [(3.0, 0), (0.001, 1)])
+def test_weak_rate_max_null_sigma(tmp_path, bound, code):
+    cfg = _write(tmp_path / "cfg.ini", (
+        f"[weak-rate]\ndrift = zero\nlevels = 4\nn_ref = 8\nsamples = 400\n"
+        f"max_null_sigma = {bound}\n"))
+    out = str(tmp_path / "runs")
+    assert main(["weak-rate", "--config", cfg, "--out", out]) == code
+    (check,) = _manifest(_run_dir(out, "weak-rate"))["checks"]
+    assert check["name"] == "max_null_sigma" and check["passed"] is (code == 0)
+
+
+def test_exact_report_passes_the_slope_check_vacuously(tmp_path):
+    cfg = _write(tmp_path / "cfg.ini", (
+        "[strong-rate]\ndrift = zero\nreference = exact\nlevels = 4, 8, 16\nn_ref = 16\n"
+        "samples = 100\nbootstrap = 10\nmin_slope = 0.4\n"))
+    out = str(tmp_path / "runs")
+    assert main(["strong-rate", "--config", cfg, "--out", out]) == 0
+    manifest = _manifest(_run_dir(out, "strong-rate"))
+    assert manifest["summary"]["exact"] is True
+    (check,) = manifest["checks"]
+    assert check["name"] == "min_slope" and check["passed"] is True
+    assert "slope check vacuous" in check["detail"]
+
+
+def test_taming_demo_without_gap_check(tmp_path):
+    cfg = _write(tmp_path / "cfg.ini", (
+        "[taming-demo]\nlevels = 4, 8\nsamples = 1000\ncheck_gaps = false\n"))
+    out = str(tmp_path / "runs")
+    assert main(["taming-demo", "--config", cfg, "--out", out]) == 0
+    assert _manifest(_run_dir(out, "taming-demo"))["checks"] == []
+
+
 def test_kernel_check_passes(tmp_path):
     cfg = _write(tmp_path / "cfg.ini", "[kernel-check]\nprobes = 200\n")
     out = str(tmp_path / "runs")
@@ -445,6 +477,15 @@ _FRICTION_SMALL = "drift = linear_friction\nlevels = 4, 8\nn_ref = 8\n"
                  id="table_path-missing"),
     pytest.param("taming-demo", "levels = 4, 8\nhorizon = 1.0\n", [],
                  "horizon must lie off the grid of some level", id="horizon-on-every-grid"),
+    pytest.param("simulate", "drift = constant\nc = 1.0, 2.0\nd = 3\n", [],
+                 "c must have 1 or d=3 entries, got 2", id="c-length-simulate"),
+    pytest.param("strong-rate", "drift = constant\nc = 1.0, 2.0\nd = 3\nreference = self\n"
+                 "levels = 4, 8\nn_ref = 8\nsamples = 100\n", [],
+                 "c must have 1 or d=3 entries, got 2", id="c-length-strong"),
+    pytest.param("simulate", "d = 2\ninitial_x = 0.1, 0.2, 0.3\n", [],
+                 "initial_x must have d=2 entries, got 3", id="initial_x-length"),
+    pytest.param("weak-rate", _SIGN_SMALL + "t_eval = 0.5, 0.5\n", [],
+                 "t_eval must be nonempty and strictly increasing", id="t_eval-repeated"),
 ])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, sub, section, flags, message):
     # `message` starts with the key and must start a word of the error, so
@@ -608,7 +649,14 @@ _TABLE_ROWS = "x,v,b1\n0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n1.0,1.0,1.0\n"
     ("d,nx,nv\n1,2\n" + _TABLE_ROWS, "not enough values to unpack"),
     ("d,nx,nv\n1,2,2\n" + _TABLE_ROWS.replace("0.0,1.0,1.0", "0.0,1.0,oops"),
      "could not convert string 'oops'"),
-], ids=["shape-not-int", "shape-two-values", "value-not-float"])
+    ("d,nx,nv\n2,2,2\n" + _TABLE_ROWS, "tabulated drifts support d = 1 only"),
+    ("d,nx,nv\n1,2,2\n" + _TABLE_ROWS.replace("x,v,b1", "x,v,b"),
+     "bad tabulated column header 'x,v,b'"),
+    ("d,nx,nv\n1,2,2\n" + _TABLE_ROWS.replace("0.0,1.0,1.0\n1.0,0.0,1.0",
+                                                 "1.0,0.0,1.0\n0.0,1.0,1.0"),
+     "tabulated rows must enumerate the tensor grid in x-major order"),
+], ids=["shape-not-int", "shape-two-values", "value-not-float", "shape-d-two",
+        "column-header", "v-major-order"])
 def test_malformed_drift_table_exits_two_naming_table_path(tmp_path, capsys, table, message):
     _write(tmp_path / "field.csv", table)
     cfg = _write(tmp_path / "cfg.ini", (
@@ -619,6 +667,23 @@ def test_malformed_drift_table_exits_two_naming_table_path(tmp_path, capsys, tab
     assert f"table_path {str(tmp_path / 'field.csv')!r} is not a drift table" in err
     assert message in err
     assert not os.path.exists(out)
+
+
+def test_tabulated_drift_at_d_two_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write("field.csv", "d,nx,nv\n1,2,2\n" + _TABLE_ROWS)
+    cfg = _write("cfg.ini", (
+        "[strong-rate]\ndrift = tabulated\ntable_path = field.csv\nd = 2\nreference = self\n"
+        "levels = 4, 8\nn_ref = 8\nsamples = 100\n"))
+    assert main(["strong-rate", "--config", cfg, "--out", "r"]) == 2
+    assert re.search(r"\bd must be 1 for drift tabulated, got 2", capsys.readouterr().err)
+    assert not os.path.exists("r")
+
+
+def test_out_below_a_regular_file_exits_two(tmp_path, capsys):
+    _write(tmp_path / "file", "")
+    assert main(["simulate", "--out", str(tmp_path / "file" / "r")]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
 
 
 def test_tabulated_run_uses_the_table_it_hashed(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinetic_em.errors import DomainError
+from kinetic_em.errors import ConfigError, DomainError
 from kinetic_em.kernel import (
     KernelCovariance,
     MixedExponent,
@@ -126,6 +126,8 @@ def test_mixed_lp_norm_gaussian_oracle():
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-6)
     sup = mixed_lp_norm(f, MixedExponent(math.inf, math.inf), grid)
     assert sup == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ConfigError, match="^f must be a callable"):
+        mixed_lp_norm(np.ones((641, 641)), MixedExponent(2.0, 2.0), grid)
 
 
 def test_mixed_lp_norm_l1_of_kernel_is_mass():

@@ -10,15 +10,14 @@ from kinetic_em.drifts import linear_friction, sign_velocity, zero_drift
 from kinetic_em.errors import ConfigError, ConfigWarning, DomainError
 from kinetic_em.rates import (
     EXACT_TOL,
+    TEST_FUNCTIONS,
     RateReport,
-    default_test_functions,
     fit_rate,
     strong_error,
     taming_demo,
     tv_proxy,
     weak_error,
 )
-from kinetic_em.rates import TestFunctionSet as FunctionSet
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -51,16 +50,17 @@ def test_fit_rate_noise_coverage():
 
 
 def test_default_test_functions_bounded():
-    fset = default_test_functions(d=2)
-    assert len(fset.names) == len(fset.funcs)
     rng = np.random.default_rng(0)
     x = rng.uniform(-50.0, 50.0, size=(500, 2))
     v = rng.uniform(-50.0, 50.0, size=(500, 2))
     x[0] = v[0] = 0.0
-    sup = max(float(np.max(np.abs(f(x, v)))) for f in fset.funcs)
+    sup = max(float(np.max(np.abs(f(x, v)))) for f in TEST_FUNCTIONS.values())
     assert sup <= 1.0 + 1e-12
-    with pytest.raises(ConfigError):
-        FunctionSet(("a", "b"), (lambda x, v: x[:, 0],))
+    with pytest.raises(TypeError):
+        TEST_FUNCTIONS["one"] = lambda x, v: np.ones(x.shape[0])
+    for fset in ({}, [lambda x, v: x[:, 0]], {"a": None}):
+        with pytest.raises(ConfigError, match="^fset must be a non-empty mapping"):
+            weak_error(zero_drift(), 0.5, (8,), 16, fset=fset, samples=100)
 
 
 def test_rate_report_validation_and_labels():
@@ -184,7 +184,7 @@ def test_non_finite_final_state_names_its_stream(monkeypatch, experiment):
 
 
 def test_weak_error_constant_function_is_exact():
-    const = FunctionSet(("one",), (lambda x, v: np.ones(x.shape[0]),))
+    const = {"one": lambda x, v: np.ones(x.shape[0])}
     rep = weak_error(zero_drift(), 0.5, (8, 16, 32), 64, fset=const,
                      samples=500, seed=0)
     assert rep.primary.exact
@@ -220,7 +220,7 @@ def test_weak_error_report_shape():
     assert rep.primary is rep.reports[-1]
     assert rep.t_eval == (0.5, 1.0)
     # one observation per (time, level, function)
-    assert len(rep.observations) == 2 * 2 * len(default_test_functions(1).names)
+    assert len(rep.observations) == 2 * 2 * len(TEST_FUNCTIONS)
     assert len(rep.tv_sq_proxy) == 2
 
 
