@@ -63,7 +63,7 @@ from .rates import (
     tv_proxy,
     weak_error,
 )
-from ._steppers import available_backends, backend_name
+from ._steppers import backend_name
 
 __all__ = [
     "__version__",
@@ -83,7 +83,6 @@ __all__ = [
     "TabulatedField",
     "TEST_FUNCTIONS",
     "Trajectory",
-    "available_backends",
     "backend_name",
     "coarsen",
     "constant_drift",

@@ -119,18 +119,9 @@ def backend_name() -> str:
     return "compiled" if _selected is _compiled_step else "numpy"
 
 
-def available_backends() -> dict:
-    """Name -> unchecked stepping callable, for parity tests and benchmarks."""
-    out = {"numpy": _numpy_step}
-    if _compiled_step is not None:
-        out["compiled"] = _compiled_step
-    return out
-
-
 __all__ = [
     "step_closed_form",
     "backend_name",
-    "available_backends",
     "load_kernel",
     "KIND_ZERO",
     "KIND_CONSTANT",

@@ -33,7 +33,9 @@ KIND_CONSTANT = 1
 KIND_LINEAR_FRICTION = 2
 KIND_SIGN_VELOCITY = 3
 
-# Largest M*d stepped on Python floats; the routes break even at 12-30 by kind.
+# Largest M*d stepped on Python floats.  At one element a step costs 12-13 us
+# vectorized and 0.6-0.9 us on floats (`per_step` in BENCH_scalar_stepper.json),
+# so the routes break even at 12-30 elements by kind.
 SCALAR_ELEMENTS = 8
 
 

@@ -260,17 +260,19 @@ def evaluate_arrays(drift: DriftSpec, x: np.ndarray, v: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class MollifiedDrift:
-    """b convolved with the anisotropic Gaussian at resolution n, exponent theta."""
+    """b in dimension d convolved with the anisotropic Gaussian at resolution n, exponent theta."""
 
     base: DriftSpec
     n: int
     theta: float
+    d: int = 1
     # Gauss-Hermite nodes per axis for the kinds without a closed form.
     quad_points: ClassVar[int] = 64
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_int("n", self.n, 1))
         object.__setattr__(self, "theta", check_real("theta", self.theta, 0, strict=True))
+        object.__setattr__(self, "d", check_int("d", self.d, 1))
 
     @property
     def sigma_x(self) -> float:
@@ -307,16 +309,16 @@ def mollify(drift: DriftSpec, n: int, theta: float, d: int = 1) -> MollifiedDrif
     Rejects theta above the labeled admissibility bound, a tabulated drift
     at d > 1 and a constant drift whose length is neither 1 nor d.
     """
-    md = MollifiedDrift(base=drift, n=n, theta=theta)
-    if drift.kind == "tabulated" and d != 1:
-        raise ConfigError(f"d must be 1 for drift tabulated, got {d}")
-    if drift.kind == "constant" and len(drift.constant) not in (1, d):
-        raise ConfigError(f"c must have 1 or d={d} entries, got {len(drift.constant)}")
-    bound = admissibility_bound(drift, d)
+    md = MollifiedDrift(base=drift, n=n, theta=theta, d=d)
+    if drift.kind == "tabulated" and md.d != 1:
+        raise ConfigError(f"d must be 1 for drift tabulated, got {md.d}")
+    if drift.kind == "constant" and len(drift.constant) not in (1, md.d):
+        raise ConfigError(f"c must have 1 or d={md.d} entries, got {len(drift.constant)}")
+    bound = admissibility_bound(drift, md.d)
     if bound is not None and md.theta >= bound:
         raise ConfigError(
             f"theta must be below the admissibility bound {bound:.4g} "
-            f"for drift {drift.drift_id} at d={d}, got {md.theta}"
+            f"for drift {drift.drift_id} at d={md.d}, got {md.theta}"
         )
     return md
 

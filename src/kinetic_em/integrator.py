@@ -106,7 +106,7 @@ def _shifted_drift_integrals(md: MollifiedDrift, x: np.ndarray, v: np.ndarray,
     return np.tensordot(w_b, vals, axes=1), np.tensordot(w_a, vals, axes=1)
 
 
-def closed_form_code(md: MollifiedDrift, d: int) -> tuple[int, np.ndarray] | None:
+def closed_form_code(md: MollifiedDrift) -> tuple[int, np.ndarray] | None:
     """Backend kind code and parameter vector, or None for quadrature kinds."""
     kind = md.base.kind
     if kind not in CLOSED_FORM_KINDS:
@@ -114,7 +114,7 @@ def closed_form_code(md: MollifiedDrift, d: int) -> tuple[int, np.ndarray] | Non
     if kind == "zero":
         return _steppers.KIND_ZERO, np.zeros(1)
     if kind == "constant":
-        return _steppers.KIND_CONSTANT, evaluate_arrays(md.base, np.zeros(d), np.zeros(d))
+        return _steppers.KIND_CONSTANT, evaluate_arrays(md.base, np.zeros(md.d), np.zeros(md.d))
     if kind == "linear_friction":
         return _steppers.KIND_LINEAR_FRICTION, np.array([md.base.gamma])
     return _steppers.KIND_SIGN_VELOCITY, np.array([md.erf_scale])
@@ -132,7 +132,8 @@ def step_block(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """March a block of paths in place; the Monte Carlo hot loop.
 
-    dW, dI have shape (steps, M, d) and x, v shape (M, d).  With
+    dW, dI have shape (steps, M, d) and x, v shape (M, d), where d is the
+    drift's `md.d` (else DomainError naming d).  With
     record_stride = s > 0 the state after every s-th step is stored and the
     pair of arrays (steps//s, M, d) is returned.
 
@@ -142,8 +143,11 @@ def step_block(
     integer >= 1 for every kind, so a bad value fails whichever route runs.
     """
     quad_order = check_int("quad_order", quad_order, 1)
+    if dW.shape[2] != md.d:
+        raise DomainError(f"d must be {md.d}, the dimension the drift was mollified for, "
+                          f"got states of dimension {dW.shape[2]}")
     x_rec, v_rec = record_buffers(dW, record_stride)
-    code = closed_form_code(md, dW.shape[2])
+    code = closed_form_code(md)
     if code is not None:
         kind, params = code
         _steppers.step_closed_form(

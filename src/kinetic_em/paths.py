@@ -331,8 +331,10 @@ def increment_identity_report(
 ) -> IncrementIdentityReport:
     """Monte Carlo report for the renewal identity between grid indices s and t."""
     samples = check_int("samples", samples, 100)
+    s_index = check_int("s_index", s_index, 0)
+    t_index = check_int("t_index", t_index, 0)
     k = grid.num_steps
-    if not 0 <= s_index < t_index <= k:
+    if not s_index < t_index <= k:
         raise DomainError(
             f"indices must satisfy 0 <= s < t <= {k}, got s={s_index}, t={t_index}"
         )

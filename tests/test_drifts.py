@@ -302,6 +302,10 @@ def test_admissibility_bound_and_rejection():
         mollify(s, 0, 0.5)
     with pytest.raises(ConfigError):
         mollify(s, 16, -0.1)
+    assert mollify(s, 16, 0.3, d=2).d == 2
+    for bad in (0, 1.5, True):
+        with pytest.raises(ConfigError, match="^d must be"):
+            mollify(s, 16, 0.3, d=bad)
 
 
 def test_mollify_rejects_zero_and_infinite_theta():

@@ -110,18 +110,29 @@ def test_quad_order_is_checked_for_every_drift_kind(drift):
 
 
 def test_closed_form_code_mapping():
-    assert closed_form_code(mollify(zero_drift(), 4, 0.5), 1)[0] == _steppers.KIND_ZERO
-    kind, params = closed_form_code(mollify(constant_drift(2.0), 4, 0.5, d=3), 3)
+    assert closed_form_code(mollify(zero_drift(), 4, 0.5))[0] == _steppers.KIND_ZERO
+    kind, params = closed_form_code(mollify(constant_drift(2.0), 4, 0.5, d=3))
     assert kind == _steppers.KIND_CONSTANT
     assert np.array_equal(params, [2.0, 2.0, 2.0])
-    kind, params = closed_form_code(mollify(linear_friction(0.25), 4, 0.5), 1)
+    kind, params = closed_form_code(mollify(linear_friction(0.25), 4, 0.5))
     assert kind == _steppers.KIND_LINEAR_FRICTION and params[0] == 0.25
-    kind, params = closed_form_code(mollify(sign_velocity(), 16, 0.5), 1)
+    kind, params = closed_form_code(mollify(sign_velocity(), 16, 0.5))
     assert kind == _steppers.KIND_SIGN_VELOCITY
     assert params[0] == pytest.approx(16.0**0.5 / math.sqrt(2.0))
-    assert closed_form_code(mollify(oscillatory_singular(), 4, 0.5), 1) is None
-    with pytest.raises(DomainError):
-        closed_form_code(mollify(constant_drift([1.0, 2.0]), 4, 0.5, d=2), 3)
+    assert closed_form_code(mollify(oscillatory_singular(), 4, 0.5)) is None
+
+
+def test_state_of_another_dimension_than_the_drift_fails_before_any_step():
+    md = mollify(constant_drift([1.0, 2.0]), 4, 0.5, d=2)
+    g = GridSpec(n=4, d=3)
+    p = sample_path(g, 0, 0)
+    with pytest.raises(DomainError, match="^d must be 2"):
+        step_block(md, g.h, p.dW[:, None, :], p.dI[:, None, :], np.zeros((1, 3)), np.zeros((1, 3)))
+    # the d = 1 table used to be applied to each component of a d = 2 path
+    xs = np.linspace(-10.0, 10.0, 21)
+    md = mollify(tabulated_drift(TabulatedField(xs, xs, np.add.outer(xs, xs))), 8, 0.5)
+    with pytest.raises(DomainError, match="^d must be 1"):
+        integrate(md, sample_path(GridSpec(n=8, d=2), 1, 0))
 
 
 def _build_kernel(tmp_path):

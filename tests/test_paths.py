@@ -307,3 +307,7 @@ def test_increment_identity_validation():
         increment_identity_report(g, 13, 5, samples=200)
     with pytest.raises(DomainError):
         increment_identity_report(g, 0, 99, samples=200)
+    for s, t, name in ((2.5, 6, "s_index"), (2, 6.0, "t_index"), ("1", 4, "s_index"),
+                       (True, 3, "s_index")):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            increment_identity_report(g, s, t, samples=200)
