@@ -54,6 +54,9 @@ _BLOCK_POINTS = 1 << 15
 # enough for malloc to recycle: whole-call offset arrays cost every call
 # hundreds of fresh page faults, whose price varies from run to run.
 _CHUNK_BLOCKS = 8
+# NumPy's PW_BLOCKSIZE: np.add.reduce sums a contiguous float64 run pairwise,
+# down to leaves of this many values summed with eight accumulators.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -352,38 +355,33 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
 
     Both quadrature kinds have b_i depending on (x_i, v_i) only, so the
     2d-dimensional convolution factorizes into one 2-D quadrature per
-    component.  For a field that factors, a v that repeats over leading axes
-    (a zero-stride view, as the shifted sub-step quadrature passes it) is
-    taken as its distinct velocities, each repeated over those axes; other
-    kinds take every state as distinct.  Per component the distinct
-    velocities are taken in chunks of _CHUNK_BLOCKS blocks, whose (chunk, P)
-    velocity offsets are formed once into a reused buffer, and for each
-    repeat the matching states' position offsets into another.  The
-    grid sums run in blocks of at most _BLOCK_POINTS grid points: per block
-    the (block, P, P) point values are weighted in place and summed over the
-    grid, so the product stays in cache instead of streaming (..., P, P)
-    temporaries through memory.  No buffer grows with the number of states.
+    component: a state's value is the sum over its (P, P) grid of the point
+    values b(x - yx_a, v - yv_b) * (ws_a ws_b), summed as np.add.reduce sums
+    those P*P values laid out contiguously.  Every route below forms the same
+    point values and sums them in that order, so the bits depend neither on
+    the block or chunk size nor on the route, and the result is C-ordered
+    whatever the layout of `v`.  No buffer grows with the number of states.
 
-    A field that factors as f(x) g(v) (`_separable`) has f evaluated once on
-    each state's P position offsets and g once on each distinct velocity's P
-    offsets, and a block's grid is their outer product, written by einsum
-    into one reused buffer.  einsum forms a*b + 0, which differs from the a*b
-    of `evaluate_arrays` only by turning -0.0 into +0.0; f and g each vanish
-    at most once per state, so every signed zero meets non-zero terms in the
-    grid sum and cannot change it.  Where v repeats, the weighted grid
-    g_b ws_a ws_b of each distinct velocity is summed once into S(v), and a
-    state whose f is the same s = +1 or -1 on all P offsets gets s * S(v)
-    with no grid of its own: its grid values are s g_b ws_a ws_b exactly,
-    and round-to-nearest is symmetric in sign, so the grid sum of -a is -1
-    times the grid sum of a bit for bit (g >= +0, so no two zeros of
-    opposite sign meet in S, and the zeros of one column again meet
-    non-zero terms).  Only states whose f is not constant, or is 0 or NaN,
-    build their grid.  Other kinds evaluate b on the broadcast offsets.
-    Either way every point value, weighted product and per-state sum is the
-    one the whole-array product would give, since each state's sum reads
-    only its own contiguous (P, P) slab in the same order, so the bits
-    depend neither on the block or chunk size nor on the route.  The result
-    is C-ordered whatever the layout of `v`.
+    A field that factors as f(x) g(v) (`_separable`) takes a v that repeats
+    over leading axes (a zero-stride view, as the shifted sub-step quadrature
+    passes it) as its distinct velocities, each repeated over those axes; a v
+    that does not repeat has every state distinct.  This route rests on how
+    NumPy sums: np.add.reduce sums a contiguous run of P*P = 4096 float64
+    pairwise, as a fixed binary tree whose 32 leaves are the _PAIRWISE_BLOCK
+    = 128 values of grid rows 2j and 2j+1, so a grid sum is its 32 leaf sums
+    added in five levels of adjacent pairs (tests/test_drifts.py checks this
+    in `test_numpy_sums_4096_values_as_a_tree_of_128_value_leaves`).  Per
+    component and chunk of distinct velocities, g is evaluated once on each
+    velocity's P offsets and the leaf sums B_j of g_b ws_a ws_b (its grid
+    where f = +1) are formed once; f is evaluated on the P position offsets
+    of every repeat at once, a block of repeats per pass.  A leaf whose f is
+    the same s = +1, -1 or 0 on both rows takes s * B_j: its point values
+    are s g_b ws_a ws_b exactly, round-to-nearest is symmetric in sign, and
+    g >= +0, so no two zeros of opposite sign meet in B_j and s = 0 gives +0
+    (a NaN in g makes B_j NaN, and s * NaN keeps its bits).  Every other leaf
+    (f changes between its rows, or is NaN) sums its own 128 point values.
+    Other kinds evaluate b on the broadcast offsets per block of at most
+    _BLOCK_POINTS grid points, weight them in place and sum each state's grid.
     """
     points = md.quad_points
     ys, _ = _hermite_rule(points)
@@ -394,8 +392,6 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
     out = np.empty(shape)
     if out.size == 0:
         return out
-    out = out.reshape(-1, d)
-    xf = np.broadcast_to(x, shape).reshape(-1, d)
     vb = np.broadcast_to(v, shape)
     factors = _separable(md.base)
     lead = 0  # leading axes over which v repeats, where b factors
@@ -403,15 +399,22 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
            and (vb.strides[lead] == 0 or shape[lead] == 1)):
         lead += 1
     vf = vb[(0,) * lead].reshape(-1, d)
-    states, distinct = xf.shape[0], vf.shape[0]
-    shared = states > distinct
+    distinct = vf.shape[0]
+    xf = np.broadcast_to(x, shape).reshape(-1, distinct, d)  # (repeat, distinct, d)
+    repeats = xf.shape[0]
+    out = out.reshape(xf.shape)
     block = max(1, _BLOCK_POINTS // points**2)
     chunk = block * _CHUNK_BLOCKS
-    grid = np.empty((min(block, states), points, points))
     weights = _weight_grid(points, block)
-    xbuf = np.empty((min(chunk, distinct), points))
-    vbuf = np.empty_like(xbuf)
-    sums = np.empty(xbuf.shape[0])
+    xbuf = np.empty((min(block, repeats), min(chunk, distinct), points))
+    vbuf = np.empty(xbuf.shape[1:])
+    if factors is not None:
+        leaves = points * points // _PAIRWISE_BLOCK
+        grid = np.empty((min(block, repeats * distinct), points, points))
+        cells = grid.reshape(-1, _PAIRWISE_BLOCK // points, points)  # one leaf each
+        wleaf = weights[0].reshape(leaves, -1, points)
+        bsum = np.empty((vbuf.shape[0], leaves))
+        sbuf = np.empty(xbuf.shape[:2] + (leaves,))
 
     # The last block's values outlive grid_sums: freeing evaluate_arrays'
     # result at the end of every chunk lets malloc trim the heap, and the next
@@ -420,15 +423,12 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
 
     def grid_sums(a, b, dst):
         # per block, the weighted grid sums of the states whose P position and
-        # velocity offsets (or f and g on them) are the rows of a and b
+        # velocity offsets are the rows of a and b
         nonlocal vals
         for lo in range(0, len(a), block):
             hi = min(lo + block, len(a))
-            if factors is None:
-                vals = evaluate_arrays(md.base, a[lo:hi, :, None, None],
-                                       b[lo:hi, None, :, None])[..., 0]
-            else:
-                vals = np.einsum("ia,ib->iab", a[lo:hi], b[lo:hi], out=grid[:hi - lo])
+            vals = evaluate_arrays(md.base, a[lo:hi, :, None, None],
+                                   b[lo:hi, None, :, None])[..., 0]
             vals *= weights[:hi - lo]
             np.add.reduce(vals.reshape(hi - lo, -1), axis=1, out=dst[lo:hi])
 
@@ -438,28 +438,28 @@ def _quadrature_eval(md: MollifiedDrift, x: np.ndarray, v: np.ndarray) -> np.nda
             b = np.subtract(vf[j0:j0 + rows, i, None], yv, out=vbuf[:rows])
             if factors is not None:
                 b = factors[1](b)
-            summed = False
-            for start in range(j0, states, distinct):
-                a = np.subtract(xf[start:start + rows, i, None], yx, out=xbuf[:rows])
-                dst = out[start:start + rows, i]
-                rest = None
-                if factors is not None:
-                    a = factors[0](a)
-                if shared:
-                    # f sums to +-P only where it is +1 or -1 on every offset
-                    const = np.abs(np.add.reduce(a, axis=1)) == points
-                    if const.any():
-                        if not summed:  # S(v): the grid sum where f = +1
-                            grid_sums(np.broadcast_to(1.0, b.shape), b, sums[:rows])
-                            summed = True
-                        np.multiply(a[:, 0], sums[:rows], out=dst)
-                        rest = np.flatnonzero(~const)
-                if rest is None:
-                    grid_sums(a, b, dst)
-                elif rest.size:
-                    part = np.empty(rest.size)
-                    grid_sums(a[rest], b[rest], part)
-                    dst[rest] = part
+                for lo in range(0, rows, len(grid)):  # the leaf sums B_j
+                    hi = min(lo + len(grid), rows)
+                    vals = np.multiply(weights[:hi - lo], b[lo:hi, None, :], out=grid[:hi - lo])
+                    np.add.reduce(vals.reshape(hi - lo, leaves, -1), axis=2, out=bsum[lo:hi])
+            for r0 in range(0, repeats, len(xbuf)):
+                r1 = min(r0 + len(xbuf), repeats)
+                a = np.subtract(xf[r0:r1, j0:j0 + rows, i, None], yx, out=xbuf[:r1 - r0, :rows])
+                if factors is None:  # every state is distinct: one repeat
+                    grid_sums(a[0], b, out[0, j0:j0 + rows, i])
+                    continue
+                f = factors[0](a).reshape(r1 - r0, rows, leaves, -1)
+                s = f[..., 0]
+                sums = np.multiply(s, bsum[:rows], out=sbuf[:r1 - r0, :rows])
+                mixed = np.nonzero(f[..., 1] != s)  # NaN is never equal
+                for lo in range(0, mixed[0].size, len(cells)):
+                    r, j, k = (m[lo:lo + len(cells)] for m in mixed)
+                    vals = np.multiply(f[r, j, k, :, None], b[j, None, :], out=cells[:r.size])
+                    vals *= wleaf[k]
+                    sums[r, j, k] = np.add.reduce(vals.reshape(r.size, -1), axis=1)
+                while sums.shape[-1] > 1:  # the five levels of the pairwise tree
+                    sums = sums[..., 0::2] + sums[..., 1::2]
+                out[r0:r1, j0:j0 + rows, i] = sums[..., 0]
     return out.reshape(shape)
 
 

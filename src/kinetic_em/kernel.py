@@ -13,6 +13,7 @@ samplers and ``kernel-check`` rely on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,14 @@ def as_phase_state(z) -> PhaseState:
     return PhaseState(x, v)
 
 
+def _check_time(t) -> float:
+    """A positive finite real time as a float; bool is not a time."""
+    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+            or not (math.isfinite(t) and t > 0)):
+        raise DomainError(f"t must be positive and finite, got {t!r}")
+    return float(t)
+
+
 @dataclass(frozen=True)
 class KernelCovariance:
     """Per-dimension covariance of (W_t, int_0^t W_s ds), ordered (increment, integral)."""
@@ -90,9 +99,7 @@ class KernelCovariance:
     t: float
 
     def __post_init__(self):
-        if not (isinstance(self.t, (int, float)) and math.isfinite(self.t) and self.t > 0):
-            raise DomainError(f"covariance time must be positive and finite, got {self.t}")
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _check_time(self.t))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -123,12 +130,6 @@ def gamma_shift(t: float, z: PhaseState) -> PhaseState:
     """
     z = as_phase_state(z)
     return PhaseState(z.x + t * z.v, z.v)
-
-
-def _check_time(t: float) -> float:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-        raise DomainError(f"time must be positive and finite, got {t}")
-    return float(t)
 
 
 def _exponent_terms(t: float, x, v):

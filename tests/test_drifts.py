@@ -195,42 +195,76 @@ def test_separable_route_keeps_zero_offsets_and_nan():
     assert np.count_nonzero(np.isnan(got)) == 2
 
 
+def test_numpy_sums_4096_values_as_a_tree_of_128_value_leaves():
+    # The separable quadrature route sums each state's 64 x 64 grid as 32 leaf
+    # sums of 128 values added in five levels of adjacent pairs: the order in
+    # which np.add.reduce sums a contiguous row (pairwise summation, numpy's
+    # PW_BLOCKSIZE = 128).  A numpy that sums another way fails here first.
+    rng = np.random.default_rng(4096)
+    a = rng.choice([-1.0, 1.0], size=(40, 4096)) * 10.0 ** rng.uniform(-20, 5, (40, 4096))
+    a[rng.random(a.shape) < 0.05] = 0.0
+    a[rng.random(a.shape) < 0.05] = -0.0
+    a[:10] = np.abs(a[:10])  # like the quadrature's g_b ws_a ws_b
+    a[10] = -0.0
+    a[11, ::2] = -0.0
+    a[11, 1::2] = 0.0
+    leaves = np.add.reduce(a.reshape(-1, 32, 128), axis=2)
+    while leaves.shape[1] > 1:
+        leaves = leaves[:, 0::2] + leaves[:, 1::2]
+    assert np.add.reduce(a, axis=1).tobytes() == leaves[:, 0].tobytes()
+
+
 @pytest.mark.parametrize("block", [1, 3, 8])
-def test_constant_sign_states_match_unblocked_oracle(monkeypatch, block):
-    # Where v repeats over the leading axis, a state whose f = sign(sin kappa x)
-    # is the same +1 or -1 on all 64 position offsets takes s * S(v), the sum
-    # of its velocity's weighted grid; every other state builds its own grid.
-    # Neither route, nor a materialised v that takes no sums, may move a bit.
+def test_block_sum_route_matches_unblocked_oracle(monkeypatch, block):
+    # Where b factors, each 128-value leaf of a state's grid (rows 2j, 2j+1)
+    # whose f = sign(sin kappa x) is the same s (+1, -1 or 0) on both rows
+    # takes s * B_j, the leaf sum of its velocity's grid where f = +1, and
+    # every other leaf sums its own values.  Where v repeats over the leading axis
+    # the repeats share B; a materialised v makes every state distinct.  No
+    # leaf may move a bit, at d = 2 or 3, nor at kappa = 0, where f = 0.
     monkeypatch.setattr(drifts, "_BLOCK_POINTS", block * 64 * 64)
     md = MollifiedDrift(oscillatory_singular(3.0, 0.25), 64, 0.5)
+    flat = MollifiedDrift(oscillatory_singular(0.0, 0.25), 64, 0.5)
     ys, _ = drifts._hermite_rule(md.quad_points)
+    yx = ys * md.sigma_x
     rng = np.random.default_rng(7)
-    v = 0.5 * rng.normal(size=(37, 2))
-    v[:5, 1] = ys[[3, 20, 31, 50, 63]] * md.sigma_v  # g(0) = +0 on one offset
-    v[36, 0] = np.nan  # S(v) is NaN, and s * S(v) must keep the grid route's NaN
-    x = np.empty((5, 37, 2))
-    x[0] = rng.uniform(0.5, 0.6, size=(37, 2))  # sin 3x > 0 on every offset
-    x[1] = -x[0]  # f = -1 on every offset, meeting g(0) = 0 in component 1
-    x[2] = rng.uniform(-0.01, 0.01, size=(37, 2)) + math.pi / 3  # straddles a zero
-    x[3] = ys[rng.integers(64, size=(37, 2))] * md.sigma_x  # f = 0 on one offset
-    x[4] = rng.normal(size=(37, 2))
-    x[4, 0, 0], x[4, 1, 1] = np.inf, np.nan
-    with np.errstate(invalid="ignore"):
-        f = np.sign(np.sin(md.base.kappa * (x[..., None] - ys * md.sigma_x)))
-        sums = np.add.reduce(f, axis=-1)
-    assert np.all(sums[0] == 64) and np.all(sums[1] == -64)
-    assert not np.any(np.abs(sums[2:4]) == 64)
-    assert np.count_nonzero(f[3] == 0) == 74
-    assert 0 < np.count_nonzero(np.abs(sums[4]) == 64) < 74  # some of each
-    vb = np.broadcast_to(v, x.shape)
-    with np.errstate(invalid="ignore"):
-        got = mollify_evaluate_arrays(md, x, vb)
-        want = _unblocked_quadrature(md, x, vb, 64)
-        materialised = mollify_evaluate_arrays(md, x, vb.copy())
-    assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == materialised.tobytes()
-    assert np.isnan(got[4, 0, 0]) and np.isnan(got[4, 1, 1]) and np.all(np.isnan(got[:, 36, 0]))
-    assert np.count_nonzero(np.isnan(got)) == 7
+    for d in (2, 3):
+        v = 0.5 * rng.normal(size=(37, d))
+        v[:5, 1] = ys[[3, 20, 31, 50, 63]] * md.sigma_v  # g(0) = +0 on one offset
+        v[36, 0] = np.nan  # B is NaN, and s * B must keep the oracle's NaN
+        x = np.empty((7, 37, d))
+        x[0] = rng.uniform(0.5, 0.6, size=(37, d))  # sin 3x > 0 on every offset
+        x[1] = -x[0]  # f = -1 on every offset, meeting g(0) = 0 in component 1
+        x[2] = rng.uniform(-0.01, 0.01, size=(37, d)) + math.pi / 3  # straddles a zero
+        x[3] = ys[rng.integers(64, size=(37, d))] * md.sigma_x  # f = 0 on one offset
+        x[4] = rng.normal(size=(37, d))
+        x[4, 0, 0], x[4, 1, 1] = np.inf, np.nan
+        j = rng.integers(32, size=(37, d))
+        x[5] = math.pi / 3 + (yx[2 * j] + yx[2 * j + 1]) / 2  # f flips inside leaf j
+        j = rng.integers(31, size=(37, d))
+        x[6] = math.pi / 3 + (yx[2 * j + 1] + yx[2 * j + 2]) / 2  # on a leaf boundary
+        with np.errstate(invalid="ignore"):
+            f = np.sign(np.sin(md.base.kappa * (x[..., None] - yx)))
+            sums = np.add.reduce(f, axis=-1)
+        assert np.all(sums[0] == 64) and np.all(sums[1] == -64)
+        assert not np.any(np.abs(sums[2:4]) == 64)
+        assert np.count_nonzero(f[3] == 0) == 37 * d
+        assert 0 < np.count_nonzero(np.abs(sums[4]) == 64) < 37 * d  # some of each
+        flips = np.diff(f[5:], axis=-1) != 0
+        assert np.all(np.count_nonzero(flips, axis=-1) == 1)
+        assert np.all(np.argmax(flips, axis=-1) % 2 == [[[0]], [[1]]])
+        vb = np.broadcast_to(v, x.shape)
+        for drift in (md, flat):
+            with np.errstate(invalid="ignore"):
+                got = mollify_evaluate_arrays(drift, x, vb)
+                want = _unblocked_quadrature(drift, x, vb, 64)
+                materialised = mollify_evaluate_arrays(drift, x, vb.copy())
+            assert got.tobytes() == want.tobytes()
+            assert materialised.tobytes() == want.tobytes()
+            assert np.isnan(got[4, 0, 0]) and np.isnan(got[4, 1, 1])
+            assert np.all(np.isnan(got[:, 36, 0]))
+            assert np.count_nonzero(np.isnan(got)) == 9
+        assert np.all(got[~np.isnan(got)] == 0.0)  # kappa = 0: f = +0 everywhere
 
 
 def test_blocked_quadrature_keeps_extrapolation_error():

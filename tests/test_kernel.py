@@ -72,10 +72,16 @@ def test_density_point_symmetry():
 
 
 def test_density_rejects_bad_time():
-    with pytest.raises(DomainError):
-        kernel_density(0.0, x=np.zeros(1), v=np.zeros(1))
-    with pytest.raises(DomainError):
-        kernel_density(-1.0, x=np.zeros(1), v=np.zeros(1))
+    for bad in (0.0, -1.0, math.inf, True):
+        with pytest.raises(DomainError, match="^t must be positive and finite"):
+            kernel_density(bad, x=np.zeros(1), v=np.zeros(1))
+        with pytest.raises(DomainError, match="^t must be positive and finite"):
+            KernelCovariance(bad)
+    # a numpy float32 time is a real time, not a bad one
+    half = np.float32(0.5)
+    assert kernel_density(half, x=np.zeros(1), v=np.zeros(1)) == \
+        kernel_density(0.5, x=np.zeros(1), v=np.zeros(1))
+    assert KernelCovariance(half).t == 0.5
 
 
 def test_covariance_matrix_and_det():
